@@ -70,6 +70,12 @@ cargo test -q -p coral-obs
 echo "==> cargo test -q"
 cargo test -q
 
+# The wall-clock benchmark (perfbench/) is its own package built against
+# the workspace crates: compile it and run its unit tests, so a coral-core
+# API change that breaks it fails here rather than in a benchmark run.
+echo "==> perfbench build + unit tests"
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 # Ops-plane smoke: a threaded deployment with the live HTTP endpoint —
 # /metrics and /healthz answer, health is OK on clean links and degrades
 # (non-OK retransmit-rate finding) on a lossy network.
@@ -83,20 +89,24 @@ for seed in a b c; do
     cargo test -q --test chaos_self_healing "chaos_recovery_seed_${seed}"
 done
 
-# Federation gates: a whole-region partition (topology server + edge
-# store dark for 30 s of sim time) must be journaled, fail the orphaned
-# cameras over onto the survivor, heal within twice the heartbeat-miss
-# deadline, and lose no committed trajectory edge — per pinned fault
-# seed. The byte-identity test pins `FederationConfig`'s single-region
-# default to the pre-federation event stream; the replica-convergence
-# proptests prove the union view is delivery-order-insensitive; the ops
-# test pins /healthz flipping CRITICAL for exactly the dead region.
+# Federation gates. Every deployment is a federation of R >= 1 regions;
+# the default single region is a one-region federation. A whole-region
+# partition (topology server + edge store dark for 30 s of sim time) must
+# be journaled, fail the orphaned cameras over onto the survivor, heal
+# within twice the heartbeat-miss deadline, and lose no committed
+# trajectory edge — per pinned fault seed. `region_fingerprints_are_pinned`
+# pins a lossy one-region corridor (with a camera kill/restore) and a
+# lossy two-region hard smoke (with a region outage) to fingerprint
+# constants recorded before the one-region and multi-region paths were
+# merged; the replica-convergence proptests prove the union view is
+# delivery-order-insensitive; the ops test pins /healthz flipping
+# CRITICAL for exactly the dead region.
 for seed in a b c; do
     echo "==> federation chaos matrix: fault seed ${seed}"
     cargo test -q --test federation_chaos "region_kill_seed_${seed}"
 done
-echo "==> federation single-region byte-identity"
-cargo test -q --test federation_chaos single_region_federation_is_byte_identical
+echo "==> federation single-region byte-identity (pinned fingerprints)"
+cargo test -q --test federation_chaos region_fingerprints_are_pinned
 echo "==> federation replica-convergence proptests"
 cargo test -q -p coral-storage --test proptest_replica_convergence
 echo "==> federation ops visibility"

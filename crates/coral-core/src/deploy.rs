@@ -19,34 +19,27 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
 
-/// Federated multi-region deployment knobs.
+/// Region layout of a deployment.
 ///
-/// The default (`regions: 1`) deploys the classic single-region system —
-/// one topology server, one storage pool — through code paths that are
-/// byte-identical to a build without this struct: every federation hook
-/// in the runtime is a no-op when only one region exists.
+/// Every deployment is a federation of `regions ≥ 1` regions, each with
+/// its own topology server and trajectory store. Boundary-crossing
+/// trajectory edges replicate to the upstream camera's home-region store,
+/// and a camera whose parent region stops acking heartbeats re-parents
+/// onto a surviving region (detecting the silence needs
+/// `SystemConfig::reliability`). The default, one region, is the paper's
+/// deployment: one cloud topology server and one edge trajectory store —
+/// a one-region federation, whose event stream
+/// `region_fingerprints_are_pinned` in `tests/federation_chaos.rs` pins.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FederationConfig {
-    /// Number of geographic regions. Cameras are partitioned into
-    /// contiguous stripes of the id-sorted roster; each region runs its
-    /// own topology server and trajectory store.
+    /// Number of geographic regions (`0` is treated as `1`). Cameras are
+    /// partitioned into contiguous stripes of the id-sorted roster.
     pub regions: u16,
-    /// Replicate boundary-crossing trajectory edges to the upstream
-    /// camera's home-region store (ignored when `regions == 1`).
-    pub replication: bool,
-    /// Re-parent a camera onto a surviving region when its parent region
-    /// stops acking heartbeats (ignored when `regions == 1`; requires
-    /// `SystemConfig::reliability` to detect the silence).
-    pub failover: bool,
 }
 
 impl Default for FederationConfig {
     fn default() -> Self {
-        Self {
-            regions: 1,
-            replication: true,
-            failover: true,
-        }
+        Self { regions: 1 }
     }
 }
 
@@ -115,8 +108,8 @@ pub struct SystemConfig {
     /// path does for an empty scene — so `true` and `false` produce
     /// byte-identical runs; sparse stepping only trades wall-clock time.
     pub sparse_stepping: bool,
-    /// Federated multi-region deployment. The default single region is
-    /// byte-identical to the pre-federation system; see
+    /// Region layout. The default is one region — a one-region federation
+    /// with the paper's single topology server and trajectory store; see
     /// [`FederationConfig`].
     pub federation: FederationConfig,
     /// Master seed for all stochastic components.
@@ -284,44 +277,12 @@ impl Deployment {
     }
 
     /// Wires the deployment onto a simulated network and launches the
-    /// discrete-event runtime.
-    pub fn build(self) -> SimRuntime {
-        let regions = usize::from(self.config.federation.regions.max(1));
-        if regions > 1 {
-            return self.build_federated(regions);
-        }
-        let server = self.make_server();
-        let storage = EdgeStorageNode::with_config(512, self.config.storage.clone());
-        let traffic = self.make_traffic();
-        let links = self.config.links;
-        let mut rng = StdRng::seed_from_u64(self.config.seed ^ NET_SEED_MIX);
-        let net = SimNet::new(move |envelope| {
-            if envelope.is_cloud_bound() {
-                links.device_to_cloud.sample(&mut rng)
-            } else {
-                links.device_to_device.sample(&mut rng)
-            }
-        });
-        let mut drivers = BTreeMap::new();
-        let join_order: Vec<CameraId> = self.placements.iter().map(|&(id, _, _)| id).collect();
-        for &id in &join_order {
-            let node = self
-                .make_node(id, storage.clone())
-                .expect("placement exists");
-            let endpoint = Endpoint::Camera(id);
-            let link = sim_link(&self.config, net.handle(endpoint), endpoint);
-            drivers.insert(id, NodeDriver::new(node, link));
-        }
-        let world = SimWorld::new(self.config, net, server, storage, traffic, drivers);
-        SimRuntime::launch(world, &join_order)
-    }
-
-    /// The multi-region wiring: one topology server and one trajectory
+    /// discrete-event runtime: one topology server and one trajectory
     /// store per region, cameras partitioned into contiguous stripes of
     /// the id-sorted roster, each node writing to (and heartbeating at)
-    /// its home region. The network, latency RNG, node seeds and join
-    /// order are exactly those of the single-region build.
-    fn build_federated(self, regions: usize) -> SimRuntime {
+    /// its home region.
+    pub fn build(self) -> SimRuntime {
+        let regions = usize::from(self.config.federation.regions.max(1));
         let servers: Vec<TopologyServer> = (0..regions).map(|_| self.make_server()).collect();
         let stores = FederatedStores::new(regions, 512, self.config.storage.clone());
         let traffic = self.make_traffic();
@@ -349,18 +310,17 @@ impl Deployment {
         let mut drivers = BTreeMap::new();
         let join_order: Vec<CameraId> = self.placements.iter().map(|&(id, _, _)| id).collect();
         for &id in &join_order {
-            let region = usize::from(home.get(&id).copied().unwrap_or(0));
+            let region = home.get(&id).copied().unwrap_or(0);
             let node = self
-                .make_node(id, stores.node(region).clone())
+                .make_node(id, stores.node(usize::from(region)).clone())
                 .expect("placement exists");
             let endpoint = Endpoint::Camera(id);
             let link = sim_link(&self.config, net.handle(endpoint), endpoint);
             let mut driver = NodeDriver::new(node, link);
-            driver.set_parent(region_endpoint(region as u16));
+            driver.set_parent(region_endpoint(region));
             drivers.insert(id, driver);
         }
-        let world =
-            SimWorld::new_federated(self.config, net, servers, stores, home, traffic, drivers);
+        let world = SimWorld::new(self.config, net, servers, stores, home, traffic, drivers);
         SimRuntime::launch(world, &join_order)
     }
 }

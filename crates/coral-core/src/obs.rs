@@ -63,7 +63,7 @@ pub fn subject_for(camera: CameraId) -> String {
     format!("cam{}", camera.0)
 }
 
-/// The journal/health subject name of a federated region (`region1`).
+/// The journal/health subject name of a region (`region1`).
 /// Partition journal entries, the region-contact gauge and health
 /// findings all use this spelling, matching the `Display` form of
 /// `Endpoint::RegionServer`.
@@ -148,12 +148,12 @@ pub fn default_health_rules(
     rules
 }
 
-/// Federation SLO rules, installed alongside [`default_health_rules`]
-/// when a deployment has more than one region. A region whose server has
-/// not *directly* received a heartbeat for 1.5 intervals is degraded;
-/// past the liveness deadline the region is effectively partitioned (all
-/// surviving servers are evicting its cameras) and the finding is
-/// critical. The gauge is refreshed only on direct receipt — never on the
+/// Region SLO rules, installed alongside [`default_health_rules`] in
+/// every simulated deployment, a one-region one included. A region whose
+/// server has not *directly* received a heartbeat for 1.5 intervals is
+/// degraded; past the liveness deadline the region is effectively
+/// partitioned (all surviving servers are evicting its cameras) and the
+/// finding is critical. The gauge is refreshed only on direct receipt — never on the
 /// in-process replica relay — so a partitioned region goes stale even
 /// though its peers keep processing every heartbeat.
 pub fn region_health_rules(heartbeat_interval_ms: u64, miss_threshold: u64) -> Vec<Rule> {

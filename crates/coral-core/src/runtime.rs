@@ -48,9 +48,9 @@ pub struct NodeDriver<T: Transport> {
     node: CameraNode,
     transport: T,
     obs: Option<NodeObs>,
-    /// Where this camera's heartbeats go. `Endpoint::TopologyServer` in
-    /// single-region deployments; the home (or, under failover, adoptive)
-    /// region server endpoint in federated ones.
+    /// Where this camera's heartbeats go: its home (or, under failover,
+    /// adoptive) region server. `Endpoint::TopologyServer` (region 0)
+    /// until the deployment re-parents it.
     parent: Endpoint,
 }
 
@@ -279,8 +279,8 @@ pub struct ServerDriver<T: Transport> {
     transport: T,
     obs: Option<ServerObs>,
     /// This server's own network address — the `from` of every update it
-    /// sends. `Endpoint::TopologyServer` unless rebound to a federated
-    /// region server endpoint.
+    /// sends. `Endpoint::TopologyServer` (region 0) unless rebound to
+    /// another region's server endpoint.
     endpoint: Endpoint,
 }
 
@@ -300,8 +300,8 @@ impl<T: Transport> ServerDriver<T> {
         self.endpoint
     }
 
-    /// Rebinds the address updates are sent from (federated region
-    /// servers).
+    /// Rebinds the address updates are sent from (the servers of regions
+    /// other than 0).
     pub fn set_endpoint(&mut self, endpoint: Endpoint) {
         self.endpoint = endpoint;
     }
@@ -448,9 +448,12 @@ fn endpoint_seed(endpoint: Endpoint) -> u64 {
     }
 }
 
-/// The heartbeat/topology endpoint of federated region `region`. Region 0
-/// keeps the single-region [`Endpoint::TopologyServer`] address, so a
-/// 1-region federation is byte-identical to no federation at all.
+/// The heartbeat/topology endpoint of region `region`. Every deployment
+/// is a federation of one or more regions; region 0 answers at
+/// [`Endpoint::TopologyServer`], the address of the paper's single cloud
+/// topology server, so a one-region deployment is the paper's topology
+/// (the event stream is pinned by `region_fingerprints_are_pinned` in
+/// `tests/federation_chaos.rs`).
 pub fn region_endpoint(region: u16) -> Endpoint {
     if region == 0 {
         Endpoint::TopologyServer
@@ -520,20 +523,20 @@ struct RegionRecoveryTracker {
     outstanding: BTreeSet<CameraId>,
 }
 
-/// Runtime state of a federated deployment (`FederationConfig::regions`
-/// above 1). Every region runs its own topology server and edge store; all
-/// live region servers process every heartbeat (the direct receiver
-/// first, then an in-process replica relay in ascending region order), so
-/// their MDCS tables and update version counters evolve in lockstep and a
-/// camera can re-parent onto any surviving region without version skew.
+/// Per-region runtime state. Every deployment is a federation of
+/// `R ≥ 1` regions (`FederationConfig::regions`); a single-region
+/// deployment is the one-region federation. Every region runs its own
+/// topology server and edge store; all live region servers process every
+/// heartbeat (the direct receiver first, then an in-process replica relay
+/// in ascending region order), so their MDCS tables and update version
+/// counters evolve in lockstep and a camera can re-parent onto any
+/// surviving region without version skew.
 struct FederationPlane {
-    /// Region servers for regions `1..R` at index `region - 1`; region 0
-    /// is `SimWorld::server` (the single-region `TopologyServer`
-    /// endpoint).
+    /// Topology servers, indexed by region (region 0 answers at
+    /// `Endpoint::TopologyServer`).
     servers: Vec<ServerDriver<SimLink>>,
-    /// Per-region trajectory stores behind one shared vertex/edge-seq
-    /// allocator. `stores.node(0)` is the same store as
-    /// `SimWorld::storage`.
+    /// Trajectory stores, indexed by region (see [`FederatedStores`] for
+    /// the id plane they share).
     stores: FederatedStores,
     /// Receive links of `Endpoint::EdgeStore(r)` — the replication ingest
     /// points. Pulled through the reliability stack so replication sends
@@ -552,15 +555,16 @@ struct FederationPlane {
     outages: BTreeMap<u16, SimTime>,
     /// Fail-backs awaiting their first direct post-heal heartbeats.
     recoveries: Vec<RegionRecoveryTracker>,
-    /// Replicate boundary-crossing edges to the upstream region's store.
-    replication: bool,
-    /// Re-parent cameras whose region server stops acking heartbeats.
-    failover: bool,
 }
 
 impl FederationPlane {
     fn regions(&self) -> usize {
         self.alive.len()
+    }
+
+    /// The home region of `cam`.
+    fn home_of(&self, cam: CameraId) -> u16 {
+        self.home.get(&cam).copied().unwrap_or(0)
     }
 }
 
@@ -572,8 +576,7 @@ impl FederationPlane {
 pub struct SimWorld {
     config: SystemConfig,
     net: SimNet,
-    server: ServerDriver<SimLink>,
-    storage: EdgeStorageNode,
+    plane: FederationPlane,
     traffic: TrafficModel,
     arrivals: Option<PoissonArrivals>,
     drivers: BTreeMap<CameraId, NodeDriver<SimLink>>,
@@ -582,7 +585,6 @@ pub struct SimWorld {
     last_traffic_step: SimTime,
     telemetry: Telemetry,
     obs: CoreObs,
-    sinks: Vec<Box<dyn TelemetrySink + Send>>,
     in_fov: HashMap<CameraId, HashSet<GroundTruthId>>,
     ground_truth: GroundTruthLog,
     recovery_trackers: Vec<RecoveryTracker>,
@@ -602,10 +604,6 @@ pub struct SimWorld {
     /// the default checked ingest the stream is dup-free and every step is
     /// a structural no-op, so runs stay byte-identical.
     last_compact_s: u64,
-    /// Federated multi-region state; `None` for single-region deployments
-    /// (every federation hook is then a no-op, keeping the default path
-    /// byte-identical).
-    federation: Option<FederationPlane>,
 }
 
 impl std::fmt::Debug for SimWorld {
@@ -613,8 +611,8 @@ impl std::fmt::Debug for SimWorld {
         f.debug_struct("SimWorld")
             .field("cameras", &self.drivers.len())
             .field("alive", &self.alive)
+            .field("regions", &self.plane.regions())
             .field("net", &self.net)
-            .field("sinks", &self.sinks.len())
             .finish()
     }
 }
@@ -622,38 +620,64 @@ impl std::fmt::Debug for SimWorld {
 const SIM_SEND: &str = "sim transport sends cannot fail";
 
 impl SimWorld {
+    /// Builds the world: one topology server and one trajectory store per
+    /// region, an `EdgeStore(r)` receive link per region for replication,
+    /// and every camera parented at its home region.
     pub(crate) fn new(
         config: SystemConfig,
         net: SimNet,
-        server: TopologyServer,
-        storage: EdgeStorageNode,
+        servers: Vec<TopologyServer>,
+        stores: FederatedStores,
+        home: BTreeMap<CameraId, u16>,
         traffic: TrafficModel,
         mut drivers: BTreeMap<CameraId, NodeDriver<SimLink>>,
     ) -> Self {
+        let regions = stores.regions();
+        assert_eq!(servers.len(), regions, "one topology server per region");
         let roster: BTreeSet<CameraId> = drivers.keys().copied().collect();
         let obs = CoreObs::new();
         obs.set_handoff_deadline_ms(HANDOFF_DEADLINE_MS);
         if config.health_checks {
-            obs.install_health_rules(default_health_rules(
+            let mut rules = default_health_rules(
                 config.heartbeat_interval.as_millis(),
                 u64::from(config.miss_threshold),
                 HANDOFF_DEADLINE_MS,
                 config.sparse_stepping,
+            );
+            rules.extend(region_health_rules(
+                config.heartbeat_interval.as_millis(),
+                u64::from(config.miss_threshold),
             ));
+            obs.install_health_rules(rules);
         }
-        storage.instrument(obs.registry());
+        obs.registry().describe(
+            "region_last_contact_ms",
+            "Per-region sim-clock timestamp of the last directly received heartbeat",
+        );
+        for store in stores.nodes() {
+            store.instrument(obs.registry());
+        }
         for (&id, driver) in drivers.iter_mut() {
             driver.set_obs(NodeObs::new(&obs, id));
         }
-        let mut server = ServerDriver::new(
-            server,
-            sim_link(
-                &config,
-                net.handle(Endpoint::TopologyServer),
-                Endpoint::TopologyServer,
-            ),
-        );
-        server.set_obs(ServerObs::new(&obs));
+        let mut servers: Vec<ServerDriver<SimLink>> = servers
+            .into_iter()
+            .enumerate()
+            .map(|(r, server)| {
+                let endpoint = region_endpoint(r as u16);
+                let mut driver =
+                    ServerDriver::new(server, sim_link(&config, net.handle(endpoint), endpoint));
+                driver.set_endpoint(endpoint);
+                driver.set_obs(ServerObs::new(&obs));
+                driver
+            })
+            .collect();
+        let mut store_links: Vec<SimLink> = (0..regions)
+            .map(|r| {
+                let endpoint = Endpoint::EdgeStore(r as u32);
+                sim_link(&config, net.handle(endpoint), endpoint)
+            })
+            .collect();
         // Chaos and retry counters, published only when the corresponding
         // layer is live (passthrough layers would just pin zeros into
         // every metrics snapshot).
@@ -662,7 +686,8 @@ impl SimWorld {
             let links = drivers
                 .values_mut()
                 .map(NodeDriver::transport_mut)
-                .chain(std::iter::once(server.transport_mut()));
+                .chain(servers.iter_mut().map(ServerDriver::transport_mut))
+                .chain(store_links.iter_mut());
             for link in links {
                 if config.reliability.is_some() {
                     link.instrument(registry);
@@ -692,9 +717,17 @@ impl SimWorld {
             occupancy.add_camera(view.position, view.range_m);
         }
         Self {
-            server,
             net,
-            storage,
+            plane: FederationPlane {
+                servers,
+                stores,
+                store_links,
+                parent: home.clone(),
+                home,
+                alive: vec![true; regions],
+                outages: BTreeMap::new(),
+                recoveries: Vec::new(),
+            },
             traffic,
             arrivals: None,
             alive: roster.clone(),
@@ -703,7 +736,6 @@ impl SimWorld {
             last_traffic_step: SimTime::ZERO,
             telemetry: Telemetry::default(),
             obs,
-            sinks: Vec::new(),
             in_fov: HashMap::new(),
             ground_truth: GroundTruthLog::new(),
             recovery_trackers: Vec::new(),
@@ -712,106 +744,8 @@ impl SimWorld {
             vehicle_states: Vec::new(),
             last_health_eval_s: 0,
             last_compact_s: 0,
-            federation: None,
             config,
         }
-    }
-
-    /// Builds a federated world: region 0 rides the single-region wiring
-    /// (its server keeps the `TopologyServer` endpoint, its store is
-    /// `SimWorld::storage`); regions `1..R` get their own server drivers,
-    /// and every region an `EdgeStore(r)` receive link for replication.
-    /// Every camera starts parented at its home region.
-    pub(crate) fn new_federated(
-        config: SystemConfig,
-        net: SimNet,
-        mut servers: Vec<TopologyServer>,
-        stores: FederatedStores,
-        home: BTreeMap<CameraId, u16>,
-        traffic: TrafficModel,
-        drivers: BTreeMap<CameraId, NodeDriver<SimLink>>,
-    ) -> Self {
-        let regions = stores.regions();
-        assert!(regions >= 2, "federated world needs at least two regions");
-        assert_eq!(servers.len(), regions, "one topology server per region");
-        let server0 = servers.remove(0);
-        let mut world = Self::new(
-            config,
-            net,
-            server0,
-            stores.node(0).clone(),
-            traffic,
-            drivers,
-        );
-        if world.config.health_checks {
-            let mut rules = default_health_rules(
-                world.config.heartbeat_interval.as_millis(),
-                u64::from(world.config.miss_threshold),
-                HANDOFF_DEADLINE_MS,
-                world.config.sparse_stepping,
-            );
-            rules.extend(region_health_rules(
-                world.config.heartbeat_interval.as_millis(),
-                u64::from(world.config.miss_threshold),
-            ));
-            world.obs.install_health_rules(rules);
-        }
-        world.obs.registry().describe(
-            "region_last_contact_ms",
-            "Per-region sim-clock timestamp of the last directly received heartbeat",
-        );
-        let mut extra = Vec::new();
-        for (i, server) in servers.into_iter().enumerate() {
-            let endpoint = Endpoint::RegionServer((i + 1) as u16);
-            let mut driver = ServerDriver::new(
-                server,
-                sim_link(&world.config, world.net.handle(endpoint), endpoint),
-            );
-            driver.set_endpoint(endpoint);
-            driver.set_obs(ServerObs::new(&world.obs));
-            extra.push(driver);
-        }
-        let mut store_links: Vec<SimLink> = (0..regions)
-            .map(|r| {
-                let endpoint = Endpoint::EdgeStore(r as u32);
-                sim_link(&world.config, world.net.handle(endpoint), endpoint)
-            })
-            .collect();
-        // Same per-link instrumentation the single-region constructor
-        // applies: chaos and retry counters only when the layer is live.
-        {
-            let registry = world.obs.registry();
-            let links = extra
-                .iter_mut()
-                .map(ServerDriver::transport_mut)
-                .chain(store_links.iter_mut());
-            for link in links {
-                if world.config.reliability.is_some() {
-                    link.instrument(registry);
-                    link.set_journal(world.obs.journal().clone());
-                }
-                if world.config.faults.is_some() {
-                    link.inner_mut().instrument(registry);
-                    link.inner_mut().set_journal(world.obs.journal().clone());
-                }
-            }
-        }
-        for r in 1..regions {
-            stores.node(r).instrument(world.obs.registry());
-        }
-        world.federation = Some(FederationPlane {
-            servers: extra,
-            store_links,
-            parent: home.clone(),
-            home,
-            alive: vec![true; regions],
-            outages: BTreeMap::new(),
-            recoveries: Vec::new(),
-            replication: world.config.federation.replication,
-            failover: world.config.federation.failover,
-            stores,
-        });
-        world
     }
 
     /// The system configuration.
@@ -834,86 +768,40 @@ impl SimWorld {
         self.arrivals = Some(arrivals);
     }
 
-    /// Installs an additional telemetry sink.
-    pub fn add_sink(&mut self, sink: impl TelemetrySink + Send + 'static) {
-        self.sinks.push(Box::new(sink));
-    }
-
-    /// The shared storage node (region 0's store in a federated world).
+    /// Region 0's trajectory store (the whole store of a one-region
+    /// deployment).
     pub fn storage(&self) -> &EdgeStorageNode {
-        &self.storage
+        self.plane.stores.node(0)
     }
 
-    /// Number of federated regions (`1` for single-region deployments).
+    /// Number of regions (`1` unless `FederationConfig::regions` says
+    /// otherwise).
     pub fn regions(&self) -> usize {
-        self.federation.as_ref().map_or(1, FederationPlane::regions)
-    }
-
-    /// Region `region`'s trajectory store, if deployed.
-    pub fn region_store(&self, region: u16) -> Option<&EdgeStorageNode> {
-        match &self.federation {
-            Some(plane) => (usize::from(region) < plane.regions())
-                .then(|| plane.stores.node(usize::from(region))),
-            None => (region == 0).then_some(&self.storage),
-        }
-    }
-
-    /// The home region of `cam` (always 0 when single-region).
-    pub fn home_region_of(&self, cam: CameraId) -> u16 {
-        self.federation
-            .as_ref()
-            .and_then(|p| p.home.get(&cam).copied())
-            .unwrap_or(0)
+        self.plane.regions()
     }
 
     /// The region currently parenting `cam`'s heartbeats (diverges from
     /// the home region only while a failover is in effect).
     pub fn parent_region_of(&self, cam: CameraId) -> u16 {
-        self.federation
-            .as_ref()
-            .and_then(|p| p.parent.get(&cam).copied())
-            .unwrap_or(0)
+        self.plane.parent.get(&cam).copied().unwrap_or(0)
     }
 
-    /// Whether region `region` is currently alive.
-    pub fn region_alive(&self, region: u16) -> bool {
-        self.federation.as_ref().map_or(region == 0, |p| {
-            p.alive.get(usize::from(region)).copied().unwrap_or(false)
-        })
-    }
-
-    /// Runs `f` over the deployment-wide trajectory graph: the store's
-    /// flat graph when single-region, the owner-preferring union of every
-    /// region store when federated. Replicated copies deduplicate under
-    /// the union (keep-first ingest), so the federated view converges to
-    /// what a single-region run would hold.
+    /// Runs `f` over the deployment-wide trajectory graph: the one store's
+    /// cached flat view in a one-region deployment, else the
+    /// owner-preferring union of every region store. Replicated copies
+    /// deduplicate under the union (keep-first ingest), so the union
+    /// converges to what a one-region run would hold.
     pub fn with_trajectory_graph<R>(&self, f: impl FnOnce(&TrajectoryGraph) -> R) -> R {
-        match &self.federation {
-            Some(plane) => {
-                let home = &plane.home;
-                let union = plane
-                    .stores
-                    .union(|c| usize::from(home.get(&c).copied().unwrap_or(0)));
-                f(&union)
-            }
-            None => self.storage.with_graph(f),
-        }
+        let plane = &self.plane;
+        plane
+            .stores
+            .with_union(|c| usize::from(plane.home_of(c)), f)
     }
 
-    /// The topology server (region 0's server in a federated world).
+    /// Region 0's topology server. All live region servers hold identical
+    /// topology state.
     pub fn server(&self) -> &TopologyServer {
-        self.server.server()
-    }
-
-    /// Region `region`'s topology server, if deployed.
-    pub fn region_server(&self, region: u16) -> Option<&TopologyServer> {
-        if region == 0 {
-            return Some(self.server.server());
-        }
-        self.federation
-            .as_ref()
-            .and_then(|p| p.servers.get(usize::from(region) - 1))
-            .map(ServerDriver::server)
+        self.plane.servers[0].server()
     }
 
     /// A camera node, if deployed.
@@ -965,9 +853,6 @@ impl SimWorld {
     fn emit(&mut self, record: impl Fn(&mut dyn TelemetrySink)) {
         record(&mut self.telemetry);
         record(&mut self.obs);
-        for sink in &mut self.sinks {
-            record(sink.as_mut());
-        }
     }
 
     fn on_tick(&mut self, now: SimTime) {
@@ -1171,45 +1056,35 @@ impl SimWorld {
             for r in &out.reids {
                 self.obs.observe_reid(id, r, now);
             }
-            // Federation: a re-identification whose upstream camera lives
-            // in another region committed a boundary-crossing edge in this
-            // region's store. Replicate it to the upstream home region's
-            // store over the same reliability stack as everything else.
-            if let Some(plane) = &self.federation {
-                if plane.replication {
-                    let local = plane.home.get(&id).copied().unwrap_or(0);
-                    let sends: Vec<Envelope> = out
-                        .handoffs
-                        .iter()
-                        .filter_map(|h| {
-                            let up = plane.home.get(&h.from_camera).copied().unwrap_or(0);
-                            (up != local).then(|| Envelope {
-                                from: Endpoint::Camera(id),
-                                to: Endpoint::EdgeStore(u32::from(up)),
-                                message: Message::Replicate {
-                                    from: h.from_vertex,
-                                    event: h.event.clone(),
-                                    first_ms: h.first_ms,
-                                    distance: h.distance,
-                                },
-                            })
-                        })
-                        .collect();
-                    if !sends.is_empty() {
-                        let driver = self.drivers.get_mut(&id).expect("alive node exists");
-                        for env in sends {
-                            driver.transport_mut().send(now, env).expect(SIM_SEND);
-                        }
-                    }
+            // A re-identification whose upstream camera lives in another
+            // region committed a boundary-crossing edge in this region's
+            // store. Replicate it to the upstream home region's store over
+            // the same reliability stack as everything else.
+            let local = self.plane.home_of(id);
+            let transport = self
+                .drivers
+                .get_mut(&id)
+                .expect("alive node exists")
+                .transport_mut();
+            for h in &out.handoffs {
+                let up = self.plane.home_of(h.from_camera);
+                if up != local {
+                    let envelope = Envelope {
+                        from: Endpoint::Camera(id),
+                        to: Endpoint::EdgeStore(u32::from(up)),
+                        message: Message::Replicate {
+                            from: h.from_vertex,
+                            event: h.event.clone(),
+                            first_ms: h.first_ms,
+                            distance: h.distance,
+                        },
+                    };
+                    transport.send(now, envelope).expect(SIM_SEND);
                 }
             }
             // Drive the reliability stack's timers (retransmissions of
             // unacked frames). A no-op on passthrough links.
-            self.drivers
-                .get_mut(&id)
-                .expect("alive node exists")
-                .transport_mut()
-                .tick(now);
+            transport.tick(now);
         }
         self.obs.note_tick(
             tick_start.elapsed(),
@@ -1238,14 +1113,9 @@ impl SimWorld {
             let second = now.as_millis() / 1_000;
             if second > self.last_compact_s {
                 self.last_compact_s = second;
-                self.storage.compact_step();
                 // Every region's store compacts on the same cadence.
-                // (`self.storage` aliases region 0's store in federated
-                // deployments, so start at 1.)
-                if let Some(plane) = &self.federation {
-                    for r in 1..plane.regions() {
-                        plane.stores.node(r).compact_step();
-                    }
+                for store in self.plane.stores.nodes() {
+                    store.compact_step();
                 }
             }
         }
@@ -1265,15 +1135,11 @@ impl SimWorld {
     /// unreachable — re-parent onto the next live region (ascending, with
     /// wrap-around) and start writing events to its store. Requires a live
     /// reliability layer (`SystemConfig::reliability`); passthrough links
-    /// never queue, so they never trigger a failover.
+    /// never queue, so they never trigger a failover. A one-region
+    /// deployment has no other region to fail over to.
     fn maybe_fail_over(&mut self, cam: CameraId, now: SimTime) {
         let threshold = u64::from(self.config.miss_threshold) + 1;
-        let Some(plane) = &mut self.federation else {
-            return;
-        };
-        if !plane.failover {
-            return;
-        }
+        let plane = &mut self.plane;
         let Some(&current) = plane.parent.get(&cam) else {
             return;
         };
@@ -1310,51 +1176,32 @@ impl SimWorld {
         );
     }
 
+    /// The liveness sweep: every live region server scans at the same
+    /// instant, in ascending region order, each sending updates only to
+    /// the cameras it currently parents. Because all live servers process
+    /// the same heartbeat stream (see [`SimWorld::region_receive`]) their
+    /// eviction decisions and version counters agree; the sweep order only
+    /// sequences the outgoing update envelopes.
     fn on_liveness_check(&mut self, now: SimTime) {
-        if self.federation.is_some() {
-            self.on_liveness_check_federated(now);
-            return;
-        }
-        // Drive the server link's retransmission timers on the liveness
-        // cadence. A no-op on passthrough links.
-        self.server.transport_mut().tick(now);
-        let alive = &self.alive;
-        let outcome = self
-            .server
-            .check_liveness(now, |c| alive.contains(&c))
-            .expect(SIM_SEND);
-        self.resolve_removed(outcome.removed, &outcome.recipients, now);
-    }
-
-    /// The federated liveness sweep: every live region server scans at the
-    /// same instant, in ascending region order, each sending updates only
-    /// to the cameras it currently parents. Because all live servers
-    /// process the same heartbeat stream (see [`SimWorld::region_receive`])
-    /// their eviction decisions and version counters agree; the sweep
-    /// order only sequences the outgoing update envelopes.
-    fn on_liveness_check_federated(&mut self, now: SimTime) {
-        let regions = self.regions();
         let mut removed: BTreeSet<CameraId> = BTreeSet::new();
         let mut recipients: BTreeSet<CameraId> = BTreeSet::new();
-        for r in 0..regions as u16 {
-            let plane = self.federation.as_mut().expect("federated world");
-            if !plane.alive[usize::from(r)] {
+        let FederationPlane {
+            servers,
+            parent,
+            alive: region_alive,
+            ..
+        } = &mut self.plane;
+        for (r, server) in servers.iter_mut().enumerate() {
+            if !region_alive[r] {
                 continue;
             }
-            let FederationPlane {
-                servers, parent, ..
-            } = plane;
+            let r = r as u16;
             let alive = &self.alive;
             let permit = |c: CameraId| alive.contains(&c) && parent.get(&c).copied() == Some(r);
-            let outcome = if r == 0 {
-                self.server.transport_mut().tick(now);
-                self.server.check_liveness(now, permit)
-            } else {
-                let driver = &mut servers[usize::from(r) - 1];
-                driver.transport_mut().tick(now);
-                driver.check_liveness(now, permit)
-            }
-            .expect(SIM_SEND);
+            // Drive the server link's retransmission timers on the
+            // liveness cadence. A no-op on passthrough links.
+            server.transport_mut().tick(now);
+            let outcome = server.check_liveness(now, permit).expect(SIM_SEND);
             removed.extend(outcome.removed);
             recipients.extend(outcome.recipients);
         }
@@ -1393,8 +1240,15 @@ impl SimWorld {
 
     fn deliver_one(&mut self, endpoint: Endpoint, now: SimTime) {
         match endpoint {
-            Endpoint::TopologyServer => {
-                if self.federation.is_some() && !self.region_alive(0) {
+            Endpoint::TopologyServer | Endpoint::RegionServer(_) => {
+                // Region 0 answers at `TopologyServer`; `RegionServer(0)`
+                // is no server's address and falls through to the raw drain.
+                let r = match endpoint {
+                    Endpoint::RegionServer(r) if r > 0 => usize::from(r),
+                    Endpoint::RegionServer(_) => usize::MAX,
+                    _ => 0,
+                };
+                if !self.plane.alive.get(r).copied().unwrap_or(false) {
                     // A partitioned region's server can never ack: consume
                     // the frame raw, off the reliability stack, so senders
                     // see silence (and eventually fail over).
@@ -1404,33 +1258,10 @@ impl SimWorld {
                 // Polled through the reliability stack: acks are consumed
                 // (and generated) inside it, so a due slot may legally
                 // yield nothing.
-                let Some(envelope) = self.server.transport_mut().poll(now) else {
+                let Some(envelope) = self.plane.servers[r].transport_mut().poll(now) else {
                     return;
                 };
-                if self.federation.is_some() {
-                    self.region_receive(0, envelope, now);
-                } else {
-                    let alive = &self.alive;
-                    self.server
-                        .on_envelope(envelope, now, |c| alive.contains(&c))
-                        .expect(SIM_SEND);
-                }
-            }
-            Endpoint::RegionServer(r) => {
-                let live = self
-                    .federation
-                    .as_ref()
-                    .is_some_and(|p| usize::from(r) >= 1 && usize::from(r) < p.regions());
-                if !live || !self.region_alive(r) {
-                    let _ = self.net.handle(endpoint).poll(now);
-                    return;
-                }
-                let plane = self.federation.as_mut().expect("federated world");
-                let Some(envelope) = plane.servers[usize::from(r) - 1].transport_mut().poll(now)
-                else {
-                    return;
-                };
-                self.region_receive(r, envelope, now);
+                self.region_receive(r as u16, envelope, now);
             }
             Endpoint::Camera(cam) => {
                 if !self.alive.contains(&cam) {
@@ -1453,11 +1284,7 @@ impl SimWorld {
                 driver.deliver(message, now).expect(SIM_SEND);
             }
             Endpoint::EdgeStore(i) => {
-                let Some(plane) = &mut self.federation else {
-                    // Consumed and ignored, exactly as in the original loop.
-                    let _ = self.net.handle(endpoint).poll(now);
-                    return;
-                };
+                let plane = &mut self.plane;
                 let r = i as usize;
                 if r >= plane.regions() || !plane.alive[r] {
                     // A partitioned region's store can't ack either; the
@@ -1497,7 +1324,7 @@ impl SimWorld {
         }
     }
 
-    /// Federated ingress: a frame arrived at region `region`'s server. The
+    /// Region ingress: a frame arrived at region `region`'s server. The
     /// direct receiver acks and refreshes the region-contact gauge; then
     /// every live server — the receiver included — processes the payload,
     /// in ascending region order, so all replicas advance through the same
@@ -1508,25 +1335,22 @@ impl SimWorld {
         if let Message::Heartbeat { camera, .. } = envelope.message {
             self.note_region_heartbeat(region, camera, now);
         }
-        let regions = self.regions();
-        for r in 0..regions as u16 {
-            let plane = self.federation.as_mut().expect("federated world");
-            if !plane.alive[usize::from(r)] {
+        let FederationPlane {
+            servers,
+            parent,
+            alive: region_alive,
+            ..
+        } = &mut self.plane;
+        for (r, server) in servers.iter_mut().enumerate() {
+            if !region_alive[r] {
                 continue;
             }
-            let FederationPlane {
-                servers, parent, ..
-            } = plane;
+            let r = r as u16;
             let alive = &self.alive;
             let permit = |c: CameraId| alive.contains(&c) && parent.get(&c).copied() == Some(r);
-            let env = envelope.clone();
-            if r == 0 {
-                self.server.on_envelope(env, now, permit).expect(SIM_SEND);
-            } else {
-                servers[usize::from(r) - 1]
-                    .on_envelope(env, now, permit)
-                    .expect(SIM_SEND);
-            }
+            server
+                .on_envelope(envelope.clone(), now, permit)
+                .expect(SIM_SEND);
         }
     }
 
@@ -1535,25 +1359,24 @@ impl SimWorld {
     /// last straggler has reported in.
     fn note_region_heartbeat(&mut self, region: u16, camera: CameraId, now: SimTime) {
         let mut done: Vec<RegionRecovery> = Vec::new();
-        if let Some(plane) = &mut self.federation {
-            let mut i = 0;
-            while i < plane.recoveries.len() {
-                let t = &mut plane.recoveries[i];
-                if t.region == region {
-                    t.outstanding.remove(&camera);
-                    if t.outstanding.is_empty() {
-                        let t = plane.recoveries.remove(i);
-                        done.push(RegionRecovery {
-                            region: t.region,
-                            killed_at: t.killed_at,
-                            restored_at: t.restored_at,
-                            recovered_at: now,
-                        });
-                        continue;
-                    }
+        let recoveries = &mut self.plane.recoveries;
+        let mut i = 0;
+        while i < recoveries.len() {
+            let t = &mut recoveries[i];
+            if t.region == region {
+                t.outstanding.remove(&camera);
+                if t.outstanding.is_empty() {
+                    let t = recoveries.remove(i);
+                    done.push(RegionRecovery {
+                        region: t.region,
+                        killed_at: t.killed_at,
+                        restored_at: t.restored_at,
+                        recovered_at: now,
+                    });
+                    continue;
                 }
-                i += 1;
             }
+            i += 1;
         }
         for rec in done {
             self.emit(|s| s.on_region_recovery(&rec));
@@ -1562,11 +1385,9 @@ impl SimWorld {
 
     /// Partitions a whole region: its topology server and edge store stop
     /// acking (crash-stop), while its cameras keep running — they pile up
-    /// unacked heartbeats and fail over onto a surviving region.
+    /// unacked heartbeats and fail over onto a surviving region, if any.
     pub(crate) fn on_region_kill(&mut self, region: u16, now: SimTime) {
-        let Some(plane) = &mut self.federation else {
-            return;
-        };
+        let plane = &mut self.plane;
         let r = usize::from(region);
         if r >= plane.regions() || !plane.alive[r] {
             return;
@@ -1589,9 +1410,7 @@ impl SimWorld {
     /// failover moved them away. Returns whether the region was newly
     /// revived.
     pub(crate) fn on_region_restore(&mut self, region: u16, now: SimTime) -> bool {
-        let Some(plane) = &mut self.federation else {
-            return false;
-        };
+        let plane = &mut self.plane;
         let r = usize::from(region);
         if r >= plane.regions() || plane.alive[r] {
             return false;
@@ -1601,35 +1420,17 @@ impl SimWorld {
         // State transfer: clone the topology replica of the lowest live
         // region other than the one coming back. (All live replicas are
         // identical, so "lowest" is a convention, not a choice.)
-        let donor = (0..plane.regions())
-            .find(|&d| d != r && plane.alive[d])
-            .map(|d| {
-                if d == 0 {
-                    self.server.server().clone()
-                } else {
-                    plane.servers[d - 1].server().clone()
-                }
-            });
-        if let Some(state) = donor {
-            let plane = self.federation.as_mut().expect("federated world");
-            if r == 0 {
-                *self.server.server_mut() = state;
-            } else {
-                *plane.servers[r - 1].server_mut() = state;
-            }
+        if let Some(d) = (0..plane.regions()).find(|&d| d != r && plane.alive[d]) {
+            let state = plane.servers[d].server().clone();
+            *plane.servers[r].server_mut() = state;
         }
         // Administrative fail-back of the region's home cameras.
-        let plane = self.federation.as_mut().expect("federated world");
         let mut outstanding: BTreeSet<CameraId> = BTreeSet::new();
-        let homecoming: Vec<CameraId> = plane
-            .home
-            .iter()
-            .filter(|&(_, &h)| h == region)
-            .map(|(&c, _)| c)
-            .collect();
-        for cam in homecoming {
+        for (&cam, &home) in &plane.home {
+            if home != region {
+                continue;
+            }
             if let Some(driver) = self.drivers.get_mut(&cam) {
-                let plane = self.federation.as_mut().expect("federated world");
                 driver.set_parent(region_endpoint(region));
                 driver.node_mut().set_storage(plane.stores.node(r).clone());
                 plane.parent.insert(cam, region);
@@ -1638,7 +1439,6 @@ impl SimWorld {
                 }
             }
         }
-        let plane = self.federation.as_mut().expect("federated world");
         let mut instant: Option<RegionRecovery> = None;
         if outstanding.is_empty() {
             instant = Some(RegionRecovery {
@@ -1885,8 +1685,8 @@ impl SimRuntime {
     }
 
     /// Schedules a whole-region partition at `at`: the region's topology
-    /// server and edge store stop acking. A no-op outside federated
-    /// deployments or for an already-dead region.
+    /// server and edge store stop acking. A no-op for a region the
+    /// deployment does not have or an already-dead region.
     pub fn schedule_region_kill(&mut self, at: SimTime, region: u16) {
         self.engine
             .schedule_at(at, move |w: &mut SimWorld, ctx: &mut Context<SimWorld>| {

@@ -17,7 +17,7 @@ use crate::deploy::Deployment;
 use crate::metrics::{event_detection_accuracy, reid_accuracy, transitions_from_passages};
 use crate::node::CameraNode;
 use crate::runtime::SimRuntime;
-use crate::telemetry::{self, TelemetrySink};
+use crate::telemetry;
 use coral_geo::{GeoPoint, RoadNetwork};
 use coral_sim::{FailureKind, FailureSchedule, PoissonArrivals, SimTime, TrafficModel};
 use coral_storage::EdgeStorageNode;
@@ -79,12 +79,6 @@ impl CoralPieSystem {
         self.runtime.world_mut().set_arrivals(arrivals);
     }
 
-    /// Installs an additional telemetry sink alongside the built-in
-    /// accumulator.
-    pub fn add_sink(&mut self, sink: impl TelemetrySink + Send + 'static) {
-        self.runtime.world_mut().add_sink(sink);
-    }
-
     /// Schedules the failure workload.
     pub fn set_failures(&mut self, schedule: &FailureSchedule) {
         for event in schedule.events() {
@@ -95,8 +89,9 @@ impl CoralPieSystem {
         }
     }
 
-    /// Schedules a whole-region partition at `at` (federated deployments;
-    /// a no-op otherwise).
+    /// Schedules a whole-region partition at `at` (a no-op for a region
+    /// the deployment does not have). In a one-region deployment the
+    /// cameras have no other region to fail over to.
     pub fn schedule_region_kill(&mut self, at: SimTime, region: u16) {
         self.runtime.schedule_region_kill(at, region);
     }
@@ -106,14 +101,15 @@ impl CoralPieSystem {
         self.runtime.schedule_region_restore(at, region);
     }
 
-    /// Number of federated regions (`1` for single-region deployments).
+    /// Number of regions (`1` unless `FederationConfig::regions` says
+    /// otherwise).
     pub fn regions(&self) -> usize {
         self.runtime.world().regions()
     }
 
-    /// Runs `f` over the deployment-wide trajectory graph: the flat store
-    /// when single-region, the owner-preferring union of every region
-    /// store when federated.
+    /// Runs `f` over the deployment-wide trajectory graph: the one store's
+    /// cached flat view in a one-region deployment, else the
+    /// owner-preferring union of every region store.
     pub fn with_trajectory_graph<R>(
         &self,
         f: impl FnOnce(&coral_storage::TrajectoryGraph) -> R,
@@ -133,7 +129,8 @@ impl CoralPieSystem {
         self.runtime.events_executed()
     }
 
-    /// The shared storage node.
+    /// Region 0's storage node (the whole store of a one-region
+    /// deployment).
     pub fn storage(&self) -> &EdgeStorageNode {
         self.runtime.world().storage()
     }
@@ -167,7 +164,7 @@ impl CoralPieSystem {
         self.storage().restore_from_snapshot(dir)
     }
 
-    /// The topology server.
+    /// Region 0's topology server.
     pub fn server(&self) -> &TopologyServer {
         self.runtime.world().server()
     }

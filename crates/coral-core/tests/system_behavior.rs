@@ -249,130 +249,3 @@ fn traffic_light_creates_platooned_passages() {
     let spread = arrivals.iter().max().unwrap() - arrivals.iter().min().unwrap();
     assert!(spread <= 6, "platoon spread {spread}s: {arrivals:?}");
 }
-
-#[test]
-fn telemetry_sink_observes_the_run() {
-    use coral_core::TelemetrySink;
-    use coral_sim::SimTime as T;
-    use std::sync::Arc;
-
-    #[derive(Default)]
-    struct Counter {
-        passages: u64,
-        events: u64,
-        deliveries: u64,
-        cloud_sends: u64,
-    }
-    impl TelemetrySink for Counter {
-        fn on_passage(&mut self, _p: &coral_core::Passage) {
-            self.passages += 1;
-        }
-        fn on_event(&mut self, _c: CameraId, _gt: Option<coral_vision::GroundTruthId>, _at: T) {
-            self.events += 1;
-        }
-        fn on_delivery(&mut self, _at: T, _to: CameraId, _m: &coral_net::Message) {
-            self.deliveries += 1;
-        }
-        fn on_cloud_send(&mut self, _at: T, _from: CameraId, _bytes: u64) {
-            self.cloud_sends += 1;
-        }
-    }
-
-    let (mut sys, net) = corridor_system(3, false);
-    let counter = Arc::new(parking_lot::Mutex::new(Counter::default()));
-    sys.add_sink(counter.clone());
-    sys.run_until(SimTime::from_secs(2));
-    let route =
-        coral_geo::route::shortest_path(&net, IntersectionId(0), IntersectionId(2)).unwrap();
-    sys.traffic_mut().spawn(
-        SimTime::from_secs(2),
-        route,
-        Some(coral_vision::ObjectClass::Car),
-    );
-    sys.run_until(SimTime::from_secs(40));
-    sys.finish();
-
-    // The external sink saw exactly what the built-in accumulator saw.
-    let t = sys.telemetry();
-    let c = counter.lock();
-    assert_eq!(c.passages as usize, t.passages.len());
-    assert_eq!(c.events as usize, t.events.len());
-    assert_eq!(c.deliveries, t.messages_delivered);
-    assert!(c.cloud_sends > 0, "heartbeat sends not observed");
-}
-
-#[test]
-fn added_sinks_receive_identical_sequences() {
-    use coral_core::TelemetrySink;
-    use std::sync::Arc;
-
-    // A sink recording every callback as one ordered log line.
-    #[derive(Default)]
-    struct Recorder {
-        log: Vec<String>,
-    }
-    impl TelemetrySink for Recorder {
-        fn on_passage(&mut self, p: &coral_core::Passage) {
-            self.log.push(format!(
-                "passage {} {:?} {}",
-                p.camera, p.vehicle, p.entered_ms
-            ));
-        }
-        fn on_event(
-            &mut self,
-            camera: CameraId,
-            gt: Option<coral_vision::GroundTruthId>,
-            at: SimTime,
-        ) {
-            self.log.push(format!("event {camera} {gt:?} {at}"));
-        }
-        fn on_delivery(&mut self, at: SimTime, to: CameraId, m: &coral_net::Message) {
-            let kind = match m {
-                coral_net::Message::Inform(_) => "inform",
-                coral_net::Message::Confirm { .. } => "confirm",
-                coral_net::Message::Heartbeat { .. } => "heartbeat",
-                coral_net::Message::TopologyUpdate(_) => "update",
-                coral_net::Message::Sequenced { .. } | coral_net::Message::Ack { .. } => "framing",
-                coral_net::Message::Replicate { .. } => "replicate",
-            };
-            self.log.push(format!("delivery {kind} {to} {at}"));
-        }
-        fn on_cloud_send(&mut self, at: SimTime, from: CameraId, bytes: u64) {
-            self.log.push(format!("cloud {from} {bytes} {at}"));
-        }
-        fn on_recovery(&mut self, r: &coral_core::Recovery) {
-            self.log.push(format!(
-                "recovery {} {} {}",
-                r.killed, r.killed_at, r.recovered_at
-            ));
-        }
-    }
-
-    let (mut sys, net) = corridor_system(3, false);
-    let first = Arc::new(parking_lot::Mutex::new(Recorder::default()));
-    let second = Arc::new(parking_lot::Mutex::new(Recorder::default()));
-    sys.add_sink(first.clone());
-    sys.add_sink(second.clone());
-    sys.run_until(SimTime::from_secs(2));
-    let route =
-        coral_geo::route::shortest_path(&net, IntersectionId(0), IntersectionId(2)).unwrap();
-    sys.traffic_mut().spawn(
-        SimTime::from_secs(2),
-        route,
-        Some(coral_vision::ObjectClass::Car),
-    );
-    sys.run_until(SimTime::from_secs(40));
-    sys.finish();
-
-    // Both sinks saw the same fan-out, record for record, in order.
-    let first = first.lock();
-    let second = second.lock();
-    assert!(!first.log.is_empty(), "sinks observed nothing");
-    assert_eq!(first.log, second.log);
-    // And the sequence matches the built-in accumulator's totals.
-    let t = sys.telemetry();
-    let count = |prefix: &str| first.log.iter().filter(|l| l.starts_with(prefix)).count();
-    assert_eq!(count("passage "), t.passages.len());
-    assert_eq!(count("event "), t.events.len());
-    assert_eq!(count("delivery ") as u64, t.messages_delivered);
-}

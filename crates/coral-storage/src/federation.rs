@@ -167,7 +167,7 @@ pub fn merged_flat_of_nodes(
 }
 
 /// A shared allocator plus the per-region stores drawn from it — the
-/// storage half of a federated deployment.
+/// storage half of every deployment, one region or many.
 #[derive(Debug, Clone)]
 pub struct FederatedStores {
     allocator: Arc<VertexAllocator>,
@@ -175,16 +175,29 @@ pub struct FederatedStores {
 }
 
 impl FederatedStores {
-    /// Creates `regions` stores sharing one fresh allocator, each
-    /// retaining up to `frame_capacity_per_camera` raw frames per camera
-    /// with the given shard configuration.
+    /// Creates `regions` stores (at least one) sharing one fresh
+    /// allocator, each retaining up to `frame_capacity_per_camera` raw
+    /// frames per camera with the given shard configuration.
+    ///
+    /// A one-region federation's store is exactly
+    /// [`EdgeStorageNode::with_config`]: its allocator is private, so a
+    /// snapshot restore resets the id counters instead of only ratcheting
+    /// them forward (no other region can hold higher ids).
     pub fn new(
         regions: usize,
         frame_capacity_per_camera: usize,
         config: crate::shard::StorageConfig,
     ) -> Self {
+        if regions <= 1 {
+            let node = EdgeStorageNode::with_config(frame_capacity_per_camera, config);
+            let allocator = Arc::clone(node.sharded().allocator());
+            return Self {
+                allocator,
+                nodes: vec![node],
+            };
+        }
         let allocator = Arc::new(VertexAllocator::new());
-        let nodes = (0..regions.max(1))
+        let nodes = (0..regions)
             .map(|_| {
                 EdgeStorageNode::with_allocator(
                     frame_capacity_per_camera,
@@ -219,6 +232,20 @@ impl FederatedStores {
     /// The city-wide union view (see [`merged_flat`]).
     pub fn union(&self, owner_region: impl Fn(CameraId) -> usize) -> TrajectoryGraph {
         merged_flat_of_nodes(&self.nodes, owner_region)
+    }
+
+    /// Runs `f` over the city-wide graph: a one-region federation's cached
+    /// flat view ([`EdgeStorageNode::with_graph`]), else a freshly built
+    /// [`FederatedStores::union`].
+    pub fn with_union<R>(
+        &self,
+        owner_region: impl Fn(CameraId) -> usize,
+        f: impl FnOnce(&TrajectoryGraph) -> R,
+    ) -> R {
+        match self.nodes.as_slice() {
+            [only] => only.with_graph(f),
+            nodes => f(&merged_flat_of_nodes(nodes, owner_region)),
+        }
     }
 }
 
@@ -303,6 +330,38 @@ mod tests {
         assert_eq!(union.vertex_count(), flat.vertex_count());
         assert_eq!(union.edge_count(), flat.edge_count());
         assert_eq!(union.out_edges(a), flat.out_edges(a));
+    }
+
+    #[test]
+    fn one_region_restore_resets_ids_like_a_private_store() {
+        let dir =
+            std::env::temp_dir().join(format!("coral-federation-restore-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let fed = FederatedStores::new(1, 4, StorageConfig::default());
+        let private = EdgeStorageNode::with_config(4, StorageConfig::default());
+        let stores = [
+            (fed.node(0), dir.join("fed")),
+            (&private, dir.join("private")),
+        ];
+        for (store, snap) in &stores {
+            let a = store.insert_event(eid(0, 1), 0, 100, None, None);
+            let b = store.insert_event(eid(1, 1), 200, 300, None, None);
+            store.insert_edge(a, b, 0.5).unwrap();
+            store.snapshot_to(snap).unwrap();
+            // Run ahead of the snapshot, then roll back to it.
+            store.insert_event(eid(2, 1), 400, 500, None, None);
+            store.insert_event(eid(3, 1), 600, 700, None, None);
+            store.restore_from_snapshot(snap).unwrap();
+        }
+        // Ids restart at the snapshot's counter, not past the ids issued
+        // after it (what a shared allocator's ratchet would give).
+        let next: Vec<VertexId> = stores
+            .iter()
+            .map(|(store, _)| store.insert_event(eid(4, 1), 800, 900, None, None))
+            .collect();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(next, vec![VertexId(2), VertexId(2)]);
+        assert_eq!(fed.allocator().next_vertex_hint(), 3);
     }
 
     #[test]

@@ -82,7 +82,7 @@ struct Replication {
 /// Ingests the stream into a federated deployment: primaries committed in
 /// stream order, boundary-edge replication deferred into the returned op
 /// list for the caller to deliver in any order.
-fn build_federated(
+fn ingest_federated(
     n: usize,
     edges: &[(usize, usize, f64)],
     regions: usize,
@@ -182,7 +182,7 @@ proptest! {
     ) {
         let flat = build_flat(n, &raw_edges);
         for regions in REGION_AXIS {
-            let (fed, vs, pending) = build_federated(n, &raw_edges, regions);
+            let (fed, vs, pending) = ingest_federated(n, &raw_edges, regions);
             // Chaotic prefix: deliver some ops out of order / repeatedly
             // (models FaultyTransport reordering + at-least-once
             // redelivery). Losses at this stage are fine too — the
@@ -215,7 +215,7 @@ proptest! {
         raw_edges in proptest::collection::vec((0usize..16, 0usize..16, 0.0f64..1.0), 0..30),
     ) {
         let flat = build_flat(n, &raw_edges);
-        let (fed, _, pending) = build_federated(n, &raw_edges, 1);
+        let (fed, _, pending) = ingest_federated(n, &raw_edges, 1);
         prop_assert!(pending.is_empty(), "one region must replicate nothing");
         assert_union_is_flat(&fed, &flat, 1)?;
     }

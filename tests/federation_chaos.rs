@@ -20,14 +20,23 @@
 //!
 //! The mini corridor runs in tier-1; a 10×10 city grid variant of the
 //! same scenario is `#[ignore]`d and exercised by `ci.sh`.
+//!
+//! `region_fingerprints_are_pinned` pins the event streams of a lossy
+//! one-region corridor and a lossy two-region hard smoke with a region
+//! outage to recorded constants: the default single region is a
+//! one-region federation, and no change to the shared region path may
+//! move either stream.
 
 use std::collections::BTreeSet;
 
 use coral_pie::core::{CameraSpec, CoralPieSystem, FederationConfig, NodeConfig, SystemConfig};
+use coral_pie::eval::Scenario;
 use coral_pie::geo::{generators, route, IntersectionId};
 use coral_pie::net::{FaultPlan, FaultPolicy, RetryPolicy, VertexId};
 use coral_pie::obs::JournalKind;
-use coral_pie::sim::{PoissonArrivals, SimDuration, SimTime};
+use coral_pie::sim::{
+    FailureEvent, FailureKind, FailureSchedule, PoissonArrivals, ScenarioSpec, SimDuration, SimTime,
+};
 use coral_pie::topology::CameraId;
 use coral_pie::vision::{DetectorNoise, ObjectClass};
 
@@ -65,10 +74,7 @@ fn federated_system(n: usize, fault_seed: u64) -> (CoralPieSystem, coral_pie::ge
             fault_seed,
         )),
         reliability: Some(RetryPolicy::default()),
-        federation: FederationConfig {
-            regions: 2,
-            ..FederationConfig::default()
-        },
+        federation: FederationConfig { regions: 2 },
         ..SystemConfig::default()
     };
     (CoralPieSystem::new(net.clone(), &specs, config), net)
@@ -230,10 +236,7 @@ fn region_kill_city_grid() {
             0xC17F,
         )),
         reliability: Some(RetryPolicy::default()),
-        federation: FederationConfig {
-            regions: 4,
-            ..FederationConfig::default()
-        },
+        federation: FederationConfig { regions: 4 },
         parallelism: 4,
         ..SystemConfig::default()
     };
@@ -265,59 +268,218 @@ fn region_kill_city_grid() {
     assert_eq!(after.len(), after_set.len(), "duplicate edges in the union");
 }
 
-/// `FederationConfig { regions: 1 }` must be the pre-federation system,
-/// byte for byte: same deliveries, informs, events, passages and storage
-/// stats under chaos, kills and retries.
-#[test]
-fn single_region_federation_is_byte_identical() {
-    fn fingerprint(explicit: bool) -> (u64, u64, usize, usize, coral_pie::storage::StorageStats) {
-        let net = generators::corridor(4, 120.0, 12.0);
-        let specs: Vec<CameraSpec> = (0..4)
-            .map(|i| CameraSpec {
-                id: CameraId(i),
-                site: IntersectionId(i),
-                videoing_angle_deg: 0.0,
-            })
-            .collect();
-        let mut config = SystemConfig {
-            faults: Some(FaultPlan::uniform(
-                FaultPolicy {
-                    drop: 0.05,
-                    duplicate: 0.01,
-                    ..FaultPolicy::default()
-                },
-                0x5eed,
-            )),
-            reliability: Some(RetryPolicy::default()),
-            seed: 7,
-            ..SystemConfig::default()
-        };
-        if explicit {
-            config.federation = FederationConfig {
-                regions: 1,
-                replication: true,
-                failover: true,
-            };
+/// FNV-1a over 64-bit words, little-endian byte order: a fold that is
+/// stable across processes, platforms and toolchains (unlike std's
+/// `DefaultHasher`), so the constants below can be pinned.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
         }
-        let mut sys = CoralPieSystem::new(net.clone(), &specs, config);
-        for k in 0..3u64 {
-            let r = route::shortest_path(&net, IntersectionId(0), IntersectionId(3)).unwrap();
-            sys.traffic_mut().spawn(
-                SimTime::from_secs(2) + SimDuration::from_secs(9 * k),
-                r,
-                Some(ObjectClass::Car),
-            );
+    }
+
+    fn opt(&mut self, w: Option<u64>) {
+        match w {
+            Some(w) => {
+                self.word(1);
+                self.word(w);
+            }
+            None => self.word(0),
         }
-        sys.run_until(SimTime::from_secs(50));
-        sys.finish();
-        let t = sys.telemetry();
-        (
+    }
+}
+
+/// Everything observable about a finished run, reduced to pinnable
+/// numbers: the delivery counters (delivered, informs, confirms,
+/// updates, horizontal bytes, cloud bytes), `sys.storage().stats()`, and
+/// one FNV-1a fold over the event, passage, inform-arrival and recovery
+/// sequences and the deployment-wide trajectory graph.
+#[derive(Debug, PartialEq, Eq)]
+struct Fingerprint {
+    counters: [u64; 6],
+    storage: [u64; 8],
+    fold: u64,
+}
+
+fn fingerprint(sys: &CoralPieSystem) -> Fingerprint {
+    let t = sys.telemetry();
+    let s = sys.storage().stats();
+    let mut h = Fnv::new();
+    h.word(t.events.len() as u64);
+    for &(camera, gt, at) in &t.events {
+        h.word(u64::from(camera.0));
+        h.opt(gt.map(|g| g.0));
+        h.word(at.as_micros());
+    }
+    h.word(t.passages.len() as u64);
+    for p in &t.passages {
+        h.word(u64::from(p.camera.0));
+        h.word(p.vehicle.0);
+        h.word(p.entered_ms);
+    }
+    h.word(t.informs.len() as u64);
+    for i in &t.informs {
+        h.word(u64::from(i.at.0));
+        h.word(u64::from(i.from.0));
+        h.opt(i.vehicle.map(|g| g.0));
+        h.word(i.arrived.as_micros());
+    }
+    h.word(t.recoveries.len() as u64);
+    for r in &t.recoveries {
+        h.word(u64::from(r.killed.0));
+        h.word(r.killed_at.as_micros());
+        h.word(r.recovered_at.as_micros());
+    }
+    h.word(t.region_recoveries.len() as u64);
+    for r in &t.region_recoveries {
+        h.word(u64::from(r.region));
+        h.word(r.killed_at.as_micros());
+        h.word(r.restored_at.as_micros());
+        h.word(r.recovered_at.as_micros());
+    }
+    sys.with_trajectory_graph(|g| {
+        h.word(g.vertex_count() as u64);
+        for v in g.vertices() {
+            h.word(v.id.0);
+            h.word(u64::from(v.event.camera.0));
+            h.word(v.event.track.0);
+            h.word(u64::from(v.camera.0));
+            h.word(v.first_seen_ms);
+            h.word(v.last_seen_ms);
+            h.opt(v.heading.map(|d| d as u64));
+            h.opt(v.ground_truth.map(|g| g.0));
+            match &v.signature {
+                Some(sig) => {
+                    h.word(sig.bins().len() as u64);
+                    for b in sig.bins() {
+                        h.word(b.to_bits());
+                    }
+                }
+                None => h.word(u64::MAX),
+            }
+        }
+        h.word(g.edge_count() as u64);
+        for e in g.edges() {
+            h.word(e.from.0);
+            h.word(e.to.0);
+            h.word(e.weight.to_bits());
+        }
+    });
+    Fingerprint {
+        counters: [
             t.messages_delivered,
             t.informs_delivered,
-            t.events.len(),
-            t.passages.len(),
-            sys.storage().stats(),
-        )
+            t.confirms_delivered,
+            t.updates_delivered,
+            t.horizontal_bytes,
+            t.cloud_bytes,
+        ],
+        storage: [
+            s.vertices as u64,
+            s.edges as u64,
+            s.frames_ingested,
+            s.frame_bytes,
+            s.shards as u64,
+            s.cross_shard_edges as u64,
+            s.compaction_merged_edges,
+            s.compaction_folded_edges,
+        ],
+        fold: h.0,
     }
-    assert_eq!(fingerprint(false), fingerprint(true));
+}
+
+/// The default one-region deployment: a 5-camera corridor on a lossy,
+/// duplicating network with at-least-once delivery, camera 2 killed at
+/// 10 s and restored at 30 s.
+fn one_region_chaos_run() -> CoralPieSystem {
+    let net = generators::corridor(5, 120.0, 12.0);
+    let specs: Vec<CameraSpec> = (0..5)
+        .map(|i| CameraSpec {
+            id: CameraId(i),
+            site: IntersectionId(i),
+            videoing_angle_deg: 0.0,
+        })
+        .collect();
+    let config = SystemConfig {
+        faults: Some(FaultPlan::uniform(
+            FaultPolicy {
+                drop: 0.05,
+                duplicate: 0.01,
+                ..FaultPolicy::default()
+            },
+            0x5eed,
+        )),
+        reliability: Some(RetryPolicy::default()),
+        seed: 7,
+        ..SystemConfig::default()
+    };
+    let mut sys = CoralPieSystem::new(net.clone(), &specs, config);
+    let mut failures = FailureSchedule::default();
+    for (at, kind) in [(10, FailureKind::Kill), (30, FailureKind::Restore)] {
+        failures.push(FailureEvent {
+            at: SimTime::from_secs(at),
+            camera: CameraId(2),
+            kind,
+        });
+    }
+    sys.set_failures(&failures);
+    for k in 0..4u64 {
+        let r = route::shortest_path(&net, IntersectionId(0), IntersectionId(4)).unwrap();
+        sys.traffic_mut().spawn(
+            SimTime::from_secs(2) + SimDuration::from_secs(9 * k),
+            r,
+            Some(ObjectClass::Car),
+        );
+    }
+    sys.run_until(SimTime::from_secs(70));
+    sys.finish();
+    sys
+}
+
+/// A single-region deployment is a one-region federation, and the
+/// federation must not move a byte of either the one-region or the
+/// multi-region event stream: both fingerprints are pinned to the values
+/// the system produced before one region and many shared one code path.
+#[test]
+fn region_fingerprints_are_pinned() {
+    let one = one_region_chaos_run();
+    assert_eq!(one.regions(), 1);
+    assert_eq!(one.telemetry().recoveries.len(), 1, "camera 2's recovery");
+    assert_eq!(
+        fingerprint(&one),
+        Fingerprint {
+            counters: [94, 45, 33, 16, 104_486, 18_035],
+            storage: [33, 25, 0, 0, 1, 0, 0, 0],
+            fold: 0xe9220cd7d11e1bb4,
+        },
+        "one-region lossy corridor with a camera kill/restore"
+    );
+
+    let two = Scenario::hard(ScenarioSpec::smoke(), 42)
+        .with_regions(2)
+        .with_region_outage(1, 20, 50)
+        .with_faults(0.05, 0.01)
+        .run();
+    assert_eq!(two.regions(), 2);
+    assert_eq!(
+        two.telemetry().region_recoveries.len(),
+        1,
+        "region 1's heal"
+    );
+    assert_eq!(
+        fingerprint(&two),
+        Fingerprint {
+            counters: [180, 81, 49, 50, 192_484, 48_252],
+            storage: [55, 40, 0, 0, 1, 0, 0, 0],
+            fold: 0xfb40a1de0ac5442d,
+        },
+        "two-region lossy hard smoke with a region outage"
+    );
 }

@@ -246,10 +246,7 @@ fn region_partition_flips_health_for_exactly_the_dead_region() {
             0xFED5,
         )),
         reliability: Some(RetryPolicy::default()),
-        federation: FederationConfig {
-            regions: 2,
-            ..FederationConfig::default()
-        },
+        federation: FederationConfig { regions: 2 },
         seed: 42,
         ..SystemConfig::default()
     };
