@@ -52,7 +52,7 @@ echo "==> cargo clippy -p coral-sim (deny warnings)"
 cargo clippy -p coral-sim --all-targets -- -D warnings
 
 # The storage crate is the concurrent query-serving plane (sharded locks,
-# compaction, snapshots); keep it strictly lint-clean on its own.
+# keep-first ingest, snapshots); keep it strictly lint-clean on its own.
 echo "==> cargo clippy -p coral-storage (deny warnings)"
 cargo clippy -p coral-storage --all-targets -- -D warnings
 
@@ -141,10 +141,10 @@ if [ "$quick" -eq 0 ]; then
     cargo test -q --release --test hard_regimes -- --ignored
 fi
 
-# Storage plane gates: shard-vs-flat equivalence and compaction
-# invariance (property tests), snapshot round-trips with typed corruption
-# errors, and the writer/reader stress race (deadlock watchdog, torn-read
-# checks, sequential-equivalence fingerprint). All three also run inside
+# Storage plane gates: shard-vs-flat equivalence under edge redelivery
+# (property tests), snapshot round-trips with typed corruption errors,
+# and the writer/reader stress races (deadlock watchdog, torn-read checks,
+# sequential-equivalence fingerprint, duplicated sends). All three also run inside
 # `cargo test -q`; the explicit invocations keep the gate legible and
 # fail fast with a named stage.
 echo "==> storage equivalence proptests"

@@ -93,13 +93,12 @@ pub struct SystemConfig {
     /// pure observer — it consumes no randomness and schedules no events
     /// — so toggling it cannot change simulation outcomes.
     pub health_checks: bool,
-    /// Trajectory-store sharding and compaction knobs. The default single
-    /// shard with checked ingest-time dedup is byte-identical to the flat
-    /// graph; raising `shard_count` re-partitions the store by space-time
-    /// key without changing any query answer (vertex ids are allocated
-    /// globally, so ids and the merged view are shard-count-invariant).
-    /// Compaction runs incrementally once per sim-second; on dup-free
-    /// streams (checked ingest) it is a structural no-op.
+    /// Trajectory-store sharding knobs. The default single shard is
+    /// byte-identical to the flat graph; raising `shard_count`
+    /// re-partitions the store by space-time key without changing any
+    /// query answer (vertex ids are allocated globally, so ids and the
+    /// merged view are shard-count-invariant). Every store drops replayed
+    /// edges keep-first at ingest.
     pub storage: StorageConfig,
     /// Event-driven stepping: consult the spatial occupancy index each
     /// tick and take a cheap early-out for cameras with no nearby vehicle

@@ -365,6 +365,41 @@ mod tests {
     }
 
     #[test]
+    fn region_store_restores_its_own_snapshot() {
+        let dir =
+            std::env::temp_dir().join(format!("coral-federation-region-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let fed = FederatedStores::new(2, 4, StorageConfig::default());
+        let a = fed.node(0).insert_event(eid(0, 1), 0, 100, None, None);
+        let b = fed.node(1).insert_event(eid(1, 1), 200, 300, None, None);
+        let c = fed.node(0).insert_event(eid(2, 1), 400, 500, None, None);
+        fed.node(0).insert_edge(a, c, 0.5).unwrap();
+        let view = |store: &EdgeStorageNode| {
+            let s = store.stats();
+            let walk = store
+                .query_trajectory(a, crate::QueryOptions::default())
+                .unwrap();
+            (s.vertices, s.edges, walk.best_track())
+        };
+        let before = view(fed.node(0));
+        fed.node(0).snapshot_to(&dir).unwrap();
+        fed.node(0).insert_event(eid(4, 1), 600, 700, None, None);
+        // Region 0 never held `b`: its id is simply absent from the
+        // restored directory, not a missing vertex.
+        let restored = fed.node(0).restore_from_snapshot(&dir);
+        let _ = std::fs::remove_dir_all(&dir);
+        restored.unwrap();
+        assert_eq!(view(fed.node(0)), before);
+        assert_eq!(before, (2, 1, vec![a, c]));
+        assert_eq!(fed.node(0).vertex_for_event(eid(1, 1)), None);
+        assert_eq!(fed.node(1).vertex_for_event(eid(1, 1)), Some(b));
+        // The shared counter only ratchets forward: no id is re-issued.
+        let d = fed.node(0).insert_event(eid(5, 1), 800, 900, None, None);
+        assert_eq!(d, VertexId(4));
+        fed.node(0).insert_edge(c, d, 0.1).unwrap();
+    }
+
+    #[test]
     fn replication_is_order_insensitive() {
         // Apply the same replicated boundary edges in two different
         // orders (with duplicates); the unions must be identical.

@@ -10,8 +10,9 @@
 //!   flat reference implementation (and the merged read view).
 //! - [`ShardedTrajectoryGraph`] — the concurrently-readable store: key-range
 //!   shards over a space-time key (camera region × time bucket), per-shard
-//!   locks, a cross-shard edge index, incremental compaction and
-//!   checksummed snapshot/restore.
+//!   locks, a cross-shard edge index, keep-first edge ingest (a replayed
+//!   `(from, to)` pair is dropped, so each pair is stored once) and
+//!   checksummed snapshot/restore that rejects a file breaking that rule.
 //! - [`query`] — trajectory traversal from a seed detection, forward and
 //!   backward, with weight/hop pruning, generic over an [`EdgeSource`].
 //! - [`snapshot`] — the versioned per-shard on-disk format with manifest +
@@ -42,5 +43,5 @@ pub use query::{
     TrajectoryQueryResult,
 };
 pub use server::{EdgeStorageNode, StorageStats};
-pub use shard::{CompactionReport, ShardReadTxn, ShardedTrajectoryGraph, StorageConfig};
+pub use shard::{ShardReadTxn, ShardedTrajectoryGraph, StorageConfig};
 pub use snapshot::SnapshotError;

@@ -34,9 +34,9 @@ pub trait EdgeSource {
 
     /// Appends the edges of `v` in `dir` to `out` (assumed empty), in
     /// first-inserted order, with at most one edge per neighbour
-    /// (keep-first). The flat graph already guarantees both by
-    /// construction; the sharded source filters physically-duplicated
-    /// replays so queries are invariant under pending compaction.
+    /// (keep-first). Both graphs guarantee this by construction: ingest
+    /// drops a replayed `(from, to)` pair, and snapshot import rejects
+    /// one.
     fn neighbors(&mut self, v: VertexId, dir: Direction, out: &mut Vec<TrajectoryEdge>);
 }
 

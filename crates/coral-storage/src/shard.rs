@@ -24,13 +24,12 @@
 //! # Lock order
 //!
 //! One total order, everywhere: `index` → `shards[0..n]` ascending →
-//! `cross`. The compaction cursor mutex is taken before any of them and
-//! never while holding one. Writers touch at most two shard locks (both
-//! ends of an edge, acquired ascending); readers either take one shard
-//! lock (point lookups, camera queries) or all of them (a read
-//! transaction for trajectory walks — still concurrent with other
-//! readers). Deadlock-freedom follows from the total order; the
-//! concurrency stress test in `tests/storage_concurrency.rs` exercises it.
+//! `cross`. Writers touch at most two shard locks (both ends of an edge,
+//! acquired ascending); readers either take one shard lock (point
+//! lookups, camera queries) or all of them (a read transaction for
+//! trajectory walks — still concurrent with other readers).
+//! Deadlock-freedom follows from the total order; the concurrency stress
+//! test in `tests/storage_concurrency.rs` exercises it.
 
 use crate::federation::VertexAllocator;
 use crate::graph::{GraphError, TrajectoryEdge, TrajectoryGraph, VertexRecord};
@@ -38,16 +37,14 @@ use crate::query::{trajectory_over, Direction, EdgeSource, QueryOptions, Traject
 use coral_net::{EventId, VertexId};
 use coral_topology::CameraId;
 use coral_vision::ColorHistogram;
-use parking_lot::{Mutex, RwLock, RwLockReadGuard};
-use std::collections::{BTreeMap, HashMap};
-use std::ops::Bound;
+use parking_lot::{RwLock, RwLockReadGuard};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Directory slot for a vertex id this store has never seen: in a
-/// federated deployment ids are allocated from a shared plane, so a
-/// store's id space has holes where other regions' vertices live. A
-/// stand-alone store (the default) never writes a tombstone.
+/// Dense directory slot of an id a private store does not hold although
+/// it holds a higher one (only adopting an id out of order leaves one).
 const TOMBSTONE: u16 = u16::MAX;
 
 /// Configuration of the sharded trajectory store.
@@ -61,19 +58,6 @@ pub struct StorageConfig {
     /// Cameras per geographic region in the space-time routing key:
     /// camera `c` belongs to region `c / cameras_per_region`.
     pub cameras_per_region: u32,
-    /// Skip the ingest-time exact-duplicate edge check and let background
-    /// compaction merge replays instead (bulk-load mode). Queries are
-    /// invariant either way — the read path presents a keep-first logical
-    /// view — but physical `edge_count` transiently counts replays.
-    pub deferred_edge_dedup: bool,
-    /// During compaction, fold parallel replays of the same `(from, to)`
-    /// pair to the **minimum** weight seen instead of keeping the first.
-    /// Off by default: it changes query results, so it is opt-in and
-    /// excluded from the equivalence guarantees.
-    pub fold_min_weight: bool,
-    /// Vertices examined per [`ShardedTrajectoryGraph::compact_step`]
-    /// call when the runtime drives compaction between ticks.
-    pub compaction_budget: usize,
 }
 
 impl Default for StorageConfig {
@@ -82,26 +66,8 @@ impl Default for StorageConfig {
             shard_count: 1,
             time_bucket_ms: 60_000,
             cameras_per_region: 16,
-            deferred_edge_dedup: false,
-            fold_min_weight: false,
-            compaction_budget: 64,
         }
     }
-}
-
-/// What one incremental compaction step did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CompactionReport {
-    /// Vertices whose out-edge lists were examined.
-    pub vertices_scanned: usize,
-    /// Exact `(from, to)` replays removed (keep-first).
-    pub merged_edges: usize,
-    /// Kept edges whose weight was folded down to the minimum replayed
-    /// weight (only with [`StorageConfig::fold_min_weight`]).
-    pub folded_edges: usize,
-    /// Whether this step crossed the end of the key space (one full pass
-    /// over every shard completed; the cursor wrapped to the start).
-    pub completed_pass: bool,
 }
 
 /// An edge plus its global insertion sequence number and the shard of the
@@ -127,43 +93,81 @@ struct Shard {
 /// The store-level vertex directory: event → vertex and vertex → shard.
 /// Held for writing across the whole of `insert_event`, which serialises
 /// vertex allocation and makes `dir` membership imply shard residency.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct EventIndex {
     by_event: HashMap<EventId, VertexId>,
-    /// `dir[v]` = shard holding vertex `v`, or [`TOMBSTONE`] for ids held
-    /// by other regions of a federation. With a private allocator the
-    /// directory is dense and `dir.len()` = next vertex id, as before.
-    dir: Vec<u16>,
+    dir: Directory,
 }
 
-impl EventIndex {
-    /// The shard holding `v`, if this store has it.
-    fn shard_of(&self, v: VertexId) -> Option<u16> {
-        self.dir
-            .get(v.0 as usize)
-            .copied()
-            .filter(|&s| s != TOMBSTONE)
-    }
+/// Vertex id → shard holding it.
+#[derive(Debug)]
+enum Directory {
+    /// A private store allocates its own ids densely from 0: `slots[v]` is
+    /// the shard of `v` and `slots.len()` the next vertex id.
+    Dense(Vec<u16>),
+    /// A region store sharing the federation's allocator holds only some
+    /// ids; the others live in other regions. Keyed by id, so memory
+    /// follows the vertices held, not the federation's id span. `end` is
+    /// the highest id held + 1.
+    Sparse {
+        shards: HashMap<VertexId, u16>,
+        end: u64,
+    },
+}
 
-    /// Records that `v` lives on `shard`, padding the directory with
-    /// tombstones for any ids other regions hold.
-    fn set_shard(&mut self, v: VertexId, shard: u16) {
-        let slot = v.0 as usize;
-        if slot >= self.dir.len() {
-            self.dir.resize(slot, TOMBSTONE);
-            self.dir.push(shard);
+impl Directory {
+    fn new(shared_alloc: bool) -> Self {
+        if shared_alloc {
+            Directory::Sparse {
+                shards: HashMap::new(),
+                end: 0,
+            }
         } else {
-            debug_assert_eq!(self.dir[slot], TOMBSTONE, "vertex id {v} assigned twice");
-            self.dir[slot] = shard;
+            Directory::Dense(Vec::new())
         }
     }
-}
 
-/// Compaction cursor: resumes the incremental pass where it left off.
-#[derive(Debug, Default)]
-struct CompactCursor {
-    shard: usize,
-    after: Option<VertexId>,
+    /// The shard holding `v`, if this store has it.
+    fn get(&self, v: VertexId) -> Option<u16> {
+        match self {
+            Directory::Dense(slots) => slots.get(v.0 as usize).copied().filter(|&s| s != TOMBSTONE),
+            Directory::Sparse { shards, .. } => shards.get(&v).copied(),
+        }
+    }
+
+    /// Records that `v` lives on `shard`; `false` (and no change) if the
+    /// store already holds `v`.
+    fn set(&mut self, v: VertexId, shard: u16) -> bool {
+        match self {
+            Directory::Dense(slots) => {
+                let slot = v.0 as usize;
+                if slot >= slots.len() {
+                    slots.resize(slot, TOMBSTONE);
+                    slots.push(shard);
+                } else if slots[slot] == TOMBSTONE {
+                    slots[slot] = shard;
+                } else {
+                    return false;
+                }
+            }
+            Directory::Sparse { shards, end } => match shards.entry(v) {
+                Entry::Occupied(_) => return false,
+                Entry::Vacant(slot) => {
+                    slot.insert(shard);
+                    *end = (*end).max(v.0.saturating_add(1));
+                }
+            },
+        }
+        true
+    }
+
+    /// One past the highest id held: the snapshot's `next_vertex`.
+    fn end(&self) -> u64 {
+        match self {
+            Directory::Dense(slots) => slots.len() as u64,
+            Directory::Sparse { end, .. } => *end,
+        }
+    }
 }
 
 /// The sharded, concurrently-readable trajectory store.
@@ -191,12 +195,9 @@ pub struct ShardedTrajectoryGraph {
     /// window a vertex's routing bucket can start, making bucket-range
     /// shard pruning sound.
     max_interval_ms: AtomicU64,
-    /// Bumped on every structural change (vertex, edge, compaction,
-    /// restore); versions the flat-view cache in `EdgeStorageNode`.
+    /// Bumped on every structural change (vertex, edge, restore);
+    /// versions the flat-view cache in `EdgeStorageNode`.
     mutations: AtomicU64,
-    cursor: Mutex<CompactCursor>,
-    merged_total: AtomicU64,
-    folded_total: AtomicU64,
 }
 
 /// Deterministic space-time routing hash (FNV-1a over the two key words).
@@ -233,7 +234,10 @@ impl ShardedTrajectoryGraph {
                 shard_count: n,
                 ..config
             },
-            index: RwLock::new(EventIndex::default()),
+            index: RwLock::new(EventIndex {
+                by_event: HashMap::new(),
+                dir: Directory::new(shared_alloc),
+            }),
             shards: (0..n).map(|_| RwLock::new(Shard::default())).collect(),
             cross: RwLock::new(BTreeMap::new()),
             edge_count: AtomicUsize::new(0),
@@ -241,9 +245,6 @@ impl ShardedTrajectoryGraph {
             shared_alloc,
             max_interval_ms: AtomicU64::new(0),
             mutations: AtomicU64::new(0),
-            cursor: Mutex::new(CompactCursor::default()),
-            merged_total: AtomicU64::new(0),
-            folded_total: AtomicU64::new(0),
         }
     }
 
@@ -304,7 +305,7 @@ impl ShardedTrajectoryGraph {
         }
         // Allocation under the index write lock: ids this store assigns
         // are in insertion order (and with a private allocator, exactly
-        // the old `dir.len()` counter).
+        // the dense directory's length).
         let id = VertexId(self.alloc.allocate_vertex());
         self.store_vertex(
             &mut idx,
@@ -371,7 +372,8 @@ impl ShardedTrajectoryGraph {
             record.last_seen_ms.saturating_sub(record.first_seen_ms),
             Ordering::SeqCst,
         );
-        idx.set_shard(id, shard as u16);
+        let fresh = idx.dir.set(id, shard as u16);
+        debug_assert!(fresh, "vertex id {id} assigned twice");
         {
             let mut s = self.shards[shard].write();
             s.vertices.insert(id, record);
@@ -391,8 +393,8 @@ impl ShardedTrajectoryGraph {
     }
 
     /// Inserts a weighted re-identification edge `from → to`. Exact
-    /// `(from, to)` replays are dropped keep-first unless
-    /// [`StorageConfig::deferred_edge_dedup`] defers that to compaction.
+    /// `(from, to)` replays (at-least-once redelivery) are dropped
+    /// keep-first, so every endpoint pair is stored at most once.
     ///
     /// # Errors
     ///
@@ -401,8 +403,8 @@ impl ShardedTrajectoryGraph {
     pub fn insert_edge(&self, from: VertexId, to: VertexId, weight: f64) -> Result<(), GraphError> {
         let (sf, st) = {
             let idx = self.index.read();
-            let sf = idx.shard_of(from).ok_or(GraphError::UnknownVertex(from))? as usize;
-            let st = idx.shard_of(to).ok_or(GraphError::UnknownVertex(to))? as usize;
+            let sf = idx.dir.get(from).ok_or(GraphError::UnknownVertex(from))? as usize;
+            let st = idx.dir.get(to).ok_or(GraphError::UnknownVertex(to))? as usize;
             (sf, st)
         };
         if from == to {
@@ -414,7 +416,7 @@ impl ShardedTrajectoryGraph {
         let edge = TrajectoryEdge { from, to, weight };
         if sf == st {
             let mut s = self.shards[sf].write();
-            if !self.config.deferred_edge_dedup && has_out_edge(&s, from, to) {
+            if has_out_edge(&s, from, to) {
                 return Ok(());
             }
             let seq = self.alloc.allocate_edge_seq();
@@ -438,7 +440,7 @@ impl ShardedTrajectoryGraph {
             } else {
                 (&mut *g_hi, &mut *g_lo)
             };
-            if !self.config.deferred_edge_dedup && has_out_edge(out_shard, from, to) {
+            if has_out_edge(out_shard, from, to) {
                 return Ok(());
             }
             let seq = self.alloc.allocate_edge_seq();
@@ -470,7 +472,8 @@ impl ShardedTrajectoryGraph {
         let shard = self
             .index
             .read()
-            .shard_of(id)
+            .dir
+            .get(id)
             .ok_or(GraphError::UnknownVertex(id))?;
         let s = self.shards[shard as usize].read();
         s.vertices
@@ -489,8 +492,7 @@ impl ShardedTrajectoryGraph {
         self.index.read().by_event.len()
     }
 
-    /// Number of physical edges across all shards (equals the flat
-    /// graph's logical count unless deferred dedup has pending replays).
+    /// Number of edges across all shards (equals the flat graph's count).
     pub fn edge_count(&self) -> usize {
         self.edge_count.load(Ordering::SeqCst)
     }
@@ -505,18 +507,8 @@ impl ShardedTrajectoryGraph {
         self.cross.read().len()
     }
 
-    /// Total exact replays merged by compaction since creation.
-    pub fn compaction_merged_total(&self) -> u64 {
-        self.merged_total.load(Ordering::SeqCst)
-    }
-
-    /// Total kept edges whose weight compaction folded down.
-    pub fn compaction_folded_total(&self) -> u64 {
-        self.folded_total.load(Ordering::SeqCst)
-    }
-
     /// Structural version stamp: bumped on every vertex insert, edge
-    /// insert, effective compaction and restore.
+    /// insert and restore.
     pub fn mutation_stamp(&self) -> u64 {
         self.mutations.load(Ordering::SeqCst)
     }
@@ -643,8 +635,7 @@ impl ShardedTrajectoryGraph {
     /// Rebuilds the merged flat graph: vertices in id order, edges in
     /// global insertion (sequence) order. For any single-writer stream
     /// this is byte-identical to ingesting the stream into a flat
-    /// [`TrajectoryGraph`] directly; replays pending deferred dedup are
-    /// absorbed by the flat graph's own keep-first check.
+    /// [`TrajectoryGraph`] directly.
     pub fn to_flat(&self) -> TrajectoryGraph {
         let idx = self.index.read();
         let guards: Vec<RwLockReadGuard<'_, Shard>> =
@@ -678,126 +669,6 @@ impl ShardedTrajectoryGraph {
         flat
     }
 
-    /// Runs one incremental compaction step over at most `budget`
-    /// vertices, resuming at the stored cursor. Merges exact `(from, to)`
-    /// replays keep-first (a no-op on streams ingested with the default
-    /// checked dedup — which is what keeps fault-free runs byte-identical)
-    /// and, when configured, folds kept weights to the replayed minimum.
-    /// Idempotent: a second pass over compacted data changes nothing.
-    pub fn compact_step(&self, budget: usize) -> CompactionReport {
-        let mut report = CompactionReport::default();
-        if budget == 0 {
-            return report;
-        }
-        let mut cursor = self.cursor.lock();
-        while report.vertices_scanned < budget {
-            if cursor.shard >= self.shards.len() {
-                *cursor = CompactCursor::default();
-                report.completed_pass = true;
-                break;
-            }
-            let remaining = budget - report.vertices_scanned;
-            let done_shard =
-                self.compact_shard_slice(cursor.shard, &mut cursor.after, remaining, &mut report);
-            if done_shard {
-                cursor.shard += 1;
-                cursor.after = None;
-            }
-        }
-        report
-    }
-
-    /// Compacts up to `limit` vertices of `shard` starting after
-    /// `*after`; returns whether the shard is exhausted.
-    fn compact_shard_slice(
-        &self,
-        shard: usize,
-        after: &mut Option<VertexId>,
-        limit: usize,
-        report: &mut CompactionReport,
-    ) -> bool {
-        // In-entry fixups whose target lives on another shard, applied
-        // after this shard's lock is released (the lock order forbids
-        // grabbing a second shard while holding this one mid-scan):
-        // removals of merged replays and weight patches of folded edges,
-        // both matched by globally-unique sequence number.
-        let mut remote_removals: Vec<(u16, VertexId, u64)> = Vec::new();
-        let mut remote_folds: Vec<(u16, VertexId, u64, f64)> = Vec::new();
-        // Cross-shard index entries to re-weight after a fold.
-        let mut cross_folds: Vec<(VertexId, VertexId, f64)> = Vec::new();
-        let exhausted;
-        {
-            let mut s = self.shards[shard].write();
-            let bounds = match *after {
-                Some(a) => (Bound::Excluded(a), Bound::Unbounded),
-                None => (Bound::Unbounded, Bound::Unbounded),
-            };
-            let ids: Vec<VertexId> = s
-                .out_edges
-                .range((bounds.0, bounds.1))
-                .take(limit)
-                .map(|(id, _)| *id)
-                .collect();
-            exhausted = ids.len() < limit;
-            for from in &ids {
-                report.vertices_scanned += 1;
-                let (removed, folds) = compact_out_list(
-                    s.out_edges
-                        .get_mut(from)
-                        .expect("listed vertex has out edges"),
-                    self.config.fold_min_weight,
-                );
-                for se in &removed {
-                    if se.peer_shard as usize == shard {
-                        remove_in_entry(&mut s, se.edge.to, se.seq);
-                    } else {
-                        remote_removals.push((se.peer_shard, se.edge.to, se.seq));
-                    }
-                }
-                for &(to, seq, peer, w) in &folds {
-                    if peer as usize == shard {
-                        patch_in_weight(&mut s, to, seq, w);
-                    } else {
-                        remote_folds.push((peer, to, seq, w));
-                        cross_folds.push((*from, to, w));
-                    }
-                }
-                report.merged_edges += removed.len();
-                report.folded_edges += folds.len();
-                if !removed.is_empty() {
-                    self.edge_count.fetch_sub(removed.len(), Ordering::SeqCst);
-                }
-            }
-            if let Some(last) = ids.last() {
-                *after = Some(*last);
-            }
-        }
-        for (peer, to, seq) in remote_removals {
-            let mut p = self.shards[peer as usize].write();
-            remove_in_entry(&mut p, to, seq);
-        }
-        for (peer, to, seq, w) in remote_folds {
-            let mut p = self.shards[peer as usize].write();
-            patch_in_weight(&mut p, to, seq, w);
-        }
-        if !cross_folds.is_empty() {
-            let mut cross = self.cross.write();
-            for (from, to, w) in cross_folds {
-                if let Some(entry) = cross.get_mut(&(from, to)) {
-                    *entry = w;
-                }
-            }
-        }
-        if report.merged_edges > 0 || report.folded_edges > 0 {
-            self.merged_total
-                .fetch_add(report.merged_edges as u64, Ordering::SeqCst);
-            self.folded_total
-                .fetch_add(report.folded_edges as u64, Ordering::SeqCst);
-            self.mutations.fetch_add(1, Ordering::SeqCst);
-        }
-        exhausted
-    }
-
     /// (Snapshot support.) Exports the store content: config meta, next
     /// vertex id / edge seq / interval bound, and per-shard records and
     /// out-edges. Vertex creation is frozen for the duration (index read
@@ -823,7 +694,7 @@ impl ShardedTrajectoryGraph {
             shard_count: self.config.shard_count,
             time_bucket_ms: self.config.time_bucket_ms,
             cameras_per_region: self.config.cameras_per_region,
-            next_vertex: idx.dir.len() as u64,
+            next_vertex: idx.dir.end(),
             edge_seq: self.alloc.next_edge_seq_hint(),
             max_interval_ms: self.max_interval_ms.load(Ordering::SeqCst),
             shards,
@@ -842,29 +713,27 @@ impl ShardedTrajectoryGraph {
                 snapshot: state.shard_count,
             });
         }
-        let mut idx = self.index.write();
-        let mut guards: Vec<_> = self.shards.iter().map(|s| s.write()).collect();
-        let mut cross = self.cross.write();
-
-        // Rebuild the directory first: contiguous ids, each id in exactly
-        // one shard.
-        let mut dir: Vec<Option<u16>> = vec![None; state.next_vertex as usize];
+        // Validate everything before touching the store, so a rejected
+        // snapshot never half-applies.
+        let dir = self.import_directory(&state)?;
+        let mut pairs = HashSet::new();
         for (si, shard) in state.shards.iter().enumerate() {
-            for r in &shard.records {
-                let slot = dir
-                    .get_mut(r.id.0 as usize)
-                    .ok_or(ImportError::VertexOutOfRange(r.id))?;
-                if slot.replace(si as u16).is_some() {
-                    return Err(ImportError::DuplicateVertex(r.id));
+            for (edge, _) in &shard.edges {
+                if dir.get(edge.from) != Some(si as u16) || dir.get(edge.to).is_none() {
+                    return Err(ImportError::DanglingEdge(edge.from, edge.to));
+                }
+                // Ingest stores each endpoint pair once, and the read path
+                // relies on it: a repeated pair can only be a corrupt file.
+                if !pairs.insert((edge.from, edge.to)) {
+                    return Err(ImportError::DuplicateEdge(edge.from, edge.to));
                 }
             }
         }
-        let dir: Vec<u16> = dir
-            .into_iter()
-            .enumerate()
-            .map(|(i, s)| s.ok_or(ImportError::MissingVertex(VertexId(i as u64))))
-            .collect::<Result<_, _>>()?;
+        drop(pairs);
 
+        let mut idx = self.index.write();
+        let mut guards: Vec<_> = self.shards.iter().map(|s| s.write()).collect();
+        let mut cross = self.cross.write();
         idx.by_event.clear();
         idx.dir = dir;
         cross.clear();
@@ -880,10 +749,7 @@ impl ShardedTrajectoryGraph {
                 g.vertices.insert(r.id, r);
             }
             for (edge, seq) in shard.edges {
-                let to_shard = *idx
-                    .dir
-                    .get(edge.to.0 as usize)
-                    .ok_or(ImportError::VertexOutOfRange(edge.to))?;
+                let to_shard = idx.dir.get(edge.to).expect("validated above");
                 guards[si]
                     .out_edges
                     .entry(edge.from)
@@ -915,7 +781,7 @@ impl ShardedTrajectoryGraph {
         }
         all.sort_unstable_by_key(|&(seq, _, _)| seq);
         for (seq, edge, from_shard) in all {
-            let to_shard = idx.dir[edge.to.0 as usize] as usize;
+            let to_shard = idx.dir.get(edge.to).expect("validated above") as usize;
             guards[to_shard]
                 .in_edges
                 .entry(edge.to)
@@ -932,9 +798,45 @@ impl ShardedTrajectoryGraph {
             .restore(state.next_vertex, state.edge_seq, self.shared_alloc);
         self.max_interval_ms
             .store(state.max_interval_ms, Ordering::SeqCst);
-        *self.cursor.lock() = CompactCursor::default();
         self.mutations.fetch_add(1, Ordering::SeqCst);
         Ok(())
+    }
+
+    /// Rebuilds the vertex → shard directory of `state`, each id in
+    /// exactly one shard. A private store's ids must be dense: each is
+    /// below the record count and none repeats, so together they are
+    /// exactly `0..records` and the directory never outgrows the records.
+    /// A store sharing its allocator keeps only the ids it holds, however
+    /// far apart. The manifest's `next_vertex` sizes nothing: it
+    /// must equal the rebuilt directory's end (highest id + 1), which is
+    /// what export writes.
+    fn import_directory(&self, state: &ExportedStore) -> Result<Directory, ImportError> {
+        let records = state.shards.iter().map(|s| s.records.len()).sum::<usize>();
+        let mut dir = Directory::new(self.shared_alloc);
+        if let Directory::Sparse { shards, .. } = &mut dir {
+            shards.reserve(records);
+        }
+        for (si, shard) in state.shards.iter().enumerate() {
+            for r in &shard.records {
+                let in_range = match dir {
+                    Directory::Dense(_) => r.id.0 < records as u64,
+                    Directory::Sparse { .. } => r.id.0 < u64::MAX,
+                };
+                if !in_range {
+                    return Err(ImportError::VertexOutOfRange(r.id));
+                }
+                if !dir.set(r.id, si as u16) {
+                    return Err(ImportError::DuplicateVertex(r.id));
+                }
+            }
+        }
+        if state.next_vertex != dir.end() {
+            return Err(ImportError::NextVertexMismatch {
+                next_vertex: state.next_vertex,
+                records_end: dir.end(),
+            });
+        }
+        Ok(dir)
     }
 }
 
@@ -963,7 +865,9 @@ pub(crate) enum ImportError {
     ShardCountMismatch { store: usize, snapshot: usize },
     VertexOutOfRange(VertexId),
     DuplicateVertex(VertexId),
-    MissingVertex(VertexId),
+    NextVertexMismatch { next_vertex: u64, records_end: u64 },
+    DanglingEdge(VertexId, VertexId),
+    DuplicateEdge(VertexId, VertexId),
 }
 
 impl std::fmt::Display for ImportError {
@@ -975,7 +879,18 @@ impl std::fmt::Display for ImportError {
             ),
             ImportError::VertexOutOfRange(v) => write!(f, "vertex {v} out of range"),
             ImportError::DuplicateVertex(v) => write!(f, "vertex {v} appears in two shards"),
-            ImportError::MissingVertex(v) => write!(f, "vertex {v} missing from every shard"),
+            ImportError::NextVertexMismatch {
+                next_vertex,
+                records_end,
+            } => write!(
+                f,
+                "next_vertex {next_vertex} does not match the stored ids, which end at {records_end}"
+            ),
+            ImportError::DanglingEdge(from, to) => write!(
+                f,
+                "edge {from} -> {to} does not start on its shard or ends at no stored vertex"
+            ),
+            ImportError::DuplicateEdge(from, to) => write!(f, "edge {from} -> {to} stored twice"),
         }
     }
 }
@@ -984,66 +899,6 @@ fn has_out_edge(s: &Shard, from: VertexId, to: VertexId) -> bool {
     s.out_edges
         .get(&from)
         .is_some_and(|v| v.iter().any(|e| e.edge.to == to))
-}
-
-/// A committed weight fold: `(to, seq, peer_shard, new_weight)` of a kept
-/// edge whose weight dropped.
-type WeightFold = (VertexId, u64, u16, f64);
-
-/// Dedups one out-list keep-first; returns the removed replays and, when
-/// folding, the folds committed to kept edges.
-fn compact_out_list(
-    list: &mut Vec<SeqEdge>,
-    fold_min_weight: bool,
-) -> (Vec<SeqEdge>, Vec<WeightFold>) {
-    let mut removed = Vec::new();
-    let mut kept: Vec<SeqEdge> = Vec::with_capacity(list.len());
-    let mut folded_idx: Vec<usize> = Vec::new();
-    for se in list.iter() {
-        match kept.iter().position(|k| k.edge.to == se.edge.to) {
-            None => kept.push(*se),
-            Some(i) => {
-                if fold_min_weight && se.edge.weight < kept[i].edge.weight {
-                    kept[i].edge.weight = se.edge.weight;
-                    if !folded_idx.contains(&i) {
-                        folded_idx.push(i);
-                    }
-                }
-                removed.push(*se);
-            }
-        }
-    }
-    let folds: Vec<WeightFold> = folded_idx
-        .into_iter()
-        .map(|i| {
-            let k = &kept[i];
-            (k.edge.to, k.seq, k.peer_shard, k.edge.weight)
-        })
-        .collect();
-    // A fold implies a removed replay, so this also commits fold patches.
-    if !removed.is_empty() {
-        *list = kept;
-    }
-    (removed, folds)
-}
-
-/// Removes the in-entry with sequence number `seq` from `to`'s in-list
-/// (`seq` is globally unique).
-fn remove_in_entry(s: &mut Shard, to: VertexId, seq: u64) {
-    if let Some(list) = s.in_edges.get_mut(&to) {
-        list.retain(|se| se.seq != seq);
-    }
-}
-
-/// Rewrites the weight of the in-entry with sequence number `seq`.
-fn patch_in_weight(s: &mut Shard, to: VertexId, seq: u64, weight: f64) {
-    if let Some(list) = s.in_edges.get_mut(&to) {
-        for se in list.iter_mut() {
-            if se.seq == seq {
-                se.edge.weight = weight;
-            }
-        }
-    }
 }
 
 /// A read transaction over every shard: the [`EdgeSource`] behind
@@ -1094,16 +949,6 @@ impl EdgeSource for ShardReadTxn<'_> {
                 Direction::Forward => se.edge.to,
                 Direction::Backward => se.edge.from,
             };
-            // Keep-first logical view: pending deferred-dedup replays are
-            // invisible to queries, which is what makes compaction unable
-            // to change query results.
-            let duplicate = out.iter().any(|e| match dir {
-                Direction::Forward => e.to == neighbor,
-                Direction::Backward => e.from == neighbor,
-            });
-            if duplicate {
-                continue;
-            }
             locate.entry(neighbor).or_insert(se.peer_shard);
             out.push(se.edge);
         }

@@ -1,6 +1,6 @@
 //! Property tests: the sharded store is observationally equivalent to the
-//! flat reference graph at every shard count, and compaction never changes
-//! what queries see.
+//! flat reference graph at every shard count, also when every edge is
+//! redelivered (at-least-once delivery replays an inform).
 //!
 //! Vertex ids are allocated globally (in insertion order) regardless of
 //! which shard a record lands on, so equivalence here is exact — same ids,
@@ -39,15 +39,13 @@ fn sig(i: usize) -> ColorHistogram {
     ColorHistogram::from_bins(2, bins).expect("8 bins for 2 bins/channel")
 }
 
-fn config(shard_count: usize, deferred: bool) -> StorageConfig {
+fn config(shard_count: usize) -> StorageConfig {
     StorageConfig {
         shard_count,
         // Small bucket + region so a ~30-event stream crosses many
         // routing keys (events are ~950 ms apart).
         time_bucket_ms: 2_000,
         cameras_per_region: 2,
-        deferred_edge_dedup: deferred,
-        ..StorageConfig::default()
     }
 }
 
@@ -75,8 +73,11 @@ fn build_flat(n: usize, edges: &[(usize, usize, f64)]) -> TrajectoryGraph {
     g
 }
 
-/// Ingests the same stream into a sharded store; `replays` (1 = once)
-/// repeats each edge insert, modelling at-least-once redelivery.
+/// Ingests the same stream into a sharded store; `replays` (non-empty,
+/// 1 = once) repeats each edge insert, modelling at-least-once
+/// redelivery. Each replay carries a different weight, so a replay that
+/// displaced the first-delivered edge would show in the comparison with
+/// the flat graph.
 fn build_sharded(
     n: usize,
     edges: &[(usize, usize, f64)],
@@ -96,60 +97,24 @@ fn build_sharded(
             )
         })
         .collect();
-    for (k, &(a, b, w)) in edges.iter().enumerate() {
-        let (a, b) = (a % n, b % n);
-        if a < b {
-            let times = replays.get(k % replays.len().max(1)).copied().unwrap_or(1);
-            for _ in 0..times.max(1) {
-                g.insert_edge(vs[a], vs[b], w).unwrap();
-            }
+    let pairs = || {
+        edges
+            .iter()
+            .enumerate()
+            .map(|(k, &(a, b, w))| (k, a % n, b % n, w))
+            .filter(|&(_, a, b, _)| a < b)
+    };
+    for (_, a, b, w) in pairs() {
+        g.insert_edge(vs[a], vs[b], w).unwrap();
+    }
+    // Redeliveries arrive late, in reverse order, after other edges of
+    // the same vertices.
+    for (k, a, b, w) in pairs().rev() {
+        for r in 1..replays[k % replays.len()] {
+            g.insert_edge(vs[a], vs[b], w + r as f64 * 0.25).unwrap();
         }
     }
     g
-}
-
-/// Runs compaction to a full pass over the whole store.
-fn compact_fully(g: &ShardedTrajectoryGraph) -> (usize, usize) {
-    let (mut merged, mut folded) = (0, 0);
-    loop {
-        let r = g.compact_step(16);
-        merged += r.merged_edges;
-        folded += r.folded_edges;
-        if r.completed_pass {
-            return (merged, folded);
-        }
-    }
-}
-
-/// The full observable query surface of a store, as comparable data.
-fn observe(g: &ShardedTrajectoryGraph, n: usize) -> Vec<String> {
-    let mut out = Vec::new();
-    let horizon = n as u64 * 950 + 500;
-    for seed in [0, n / 2, n.saturating_sub(1)] {
-        let r = g
-            .trajectory(VertexId(seed as u64), QueryOptions::default())
-            .unwrap();
-        out.push(format!("traj {seed}: {r:?}"));
-    }
-    for cam in 0..CAMERAS {
-        out.push(format!(
-            "cam {cam}: {:?}",
-            g.vehicles_through_camera(CameraId(cam), 0, horizon)
-        ));
-        out.push(format!(
-            "cam-mid {cam}: {:?}",
-            g.vehicles_through_camera(CameraId(cam), horizon / 3, 2 * horizon / 3)
-        ));
-    }
-    out.push(format!(
-        "window: {:?}",
-        g.scan_window(horizon / 4, horizon / 2)
-    ));
-    out.push(format!(
-        "nearest: {:?}",
-        g.nearest_by_signature(&sig(1), 4, 1.0)
-    ));
-    out
 }
 
 proptest! {
@@ -157,10 +122,11 @@ proptest! {
     fn sharded_store_flattens_to_the_flat_graph(
         n in 2usize..32,
         raw_edges in proptest::collection::vec((0usize..32, 0usize..32, 0.0f64..1.0), 0..80),
+        replays in proptest::collection::vec(1usize..4, 1..20),
     ) {
         let flat = build_flat(n, &raw_edges);
         for k in SHARD_AXIS {
-            let sharded = build_sharded(n, &raw_edges, config(k, false), &[]);
+            let sharded = build_sharded(n, &raw_edges, config(k), &replays);
             prop_assert_eq!(sharded.vertex_count(), flat.vertex_count());
             prop_assert_eq!(sharded.edge_count(), flat.edge_count());
             let merged = sharded.to_flat();
@@ -186,13 +152,14 @@ proptest! {
         n in 2usize..32,
         raw_edges in proptest::collection::vec((0usize..32, 0usize..32, 0.0f64..1.0), 0..80),
         seed_idx in 0usize..32,
+        replays in proptest::collection::vec(1usize..4, 1..20),
     ) {
         let flat = build_flat(n, &raw_edges);
         let seed = VertexId((seed_idx % n) as u64);
         let horizon = n as u64 * 950 + 500;
         let flat_traj = trajectory(&flat, seed, QueryOptions::default()).unwrap();
         for k in SHARD_AXIS {
-            let sharded = build_sharded(n, &raw_edges, config(k, false), &[]);
+            let sharded = build_sharded(n, &raw_edges, config(k), &replays);
             prop_assert_eq!(
                 &sharded.trajectory(seed, QueryOptions::default()).unwrap(),
                 &flat_traj,
@@ -215,87 +182,6 @@ proptest! {
                 sharded.nearest_by_signature(&sig(seed_idx), 4, 1.0),
                 flat.nearest_by_signature(&sig(seed_idx), 4, 1.0)
             );
-        }
-    }
-
-    #[test]
-    fn compaction_is_idempotent_and_invisible_to_queries(
-        n in 2usize..24,
-        raw_edges in proptest::collection::vec((0usize..24, 0usize..24, 0.0f64..1.0), 0..60),
-        replays in proptest::collection::vec(1usize..4, 1..20),
-    ) {
-        // Deferred mode keeps redelivered edges; queries must be blind to
-        // them before, during and after compaction (keep-first view).
-        let deferred = build_sharded(n, &raw_edges, config(3, true), &replays);
-        let checked = build_sharded(n, &raw_edges, config(3, false), &[]);
-        let before = observe(&deferred, n);
-        prop_assert_eq!(&before, &observe(&checked, n), "pre-compaction view");
-
-        let (merged, _) = compact_fully(&deferred);
-        prop_assert_eq!(
-            deferred.edge_count(), checked.edge_count(),
-            "a full pass must merge every replay (merged {})", merged
-        );
-        prop_assert_eq!(&observe(&deferred, n), &before, "post-compaction view");
-
-        // Second pass: nothing left to do.
-        let (merged2, folded2) = compact_fully(&deferred);
-        prop_assert_eq!((merged2, folded2), (0, 0), "compaction must be idempotent");
-
-        // Deferred-then-compacted is structurally the checked-mode store.
-        let (a, b) = (deferred.to_flat(), checked.to_flat());
-        prop_assert_eq!(a.vertex_count(), b.vertex_count());
-        prop_assert_eq!(a.edge_count(), b.edge_count());
-        for v in b.vertices() {
-            prop_assert_eq!(a.out_edges(v.id), b.out_edges(v.id), "out-edges of {}", v.id);
-            prop_assert_eq!(a.in_edges(v.id), b.in_edges(v.id), "in-edges of {}", v.id);
-        }
-    }
-
-    #[test]
-    fn weight_folding_keeps_the_minimum_parallel_weight(
-        n in 2usize..16,
-        raw_edges in proptest::collection::vec((0usize..16, 0usize..16, 0.0f64..1.0), 1..30),
-    ) {
-        // With folding on, a compacted parallel bundle keeps the smallest
-        // (most confident) weight ever claimed for the pair.
-        let cfg = StorageConfig { fold_min_weight: true, ..config(3, true) };
-        let g = ShardedTrajectoryGraph::new(cfg);
-        let vs: Vec<VertexId> = (0..n)
-            .map(|i| {
-                g.insert_event(
-                    eid((i as u32) % CAMERAS, i as u64),
-                    i as u64 * 950,
-                    i as u64 * 950 + 400,
-                    None,
-                    None,
-                )
-            })
-            .collect();
-        let mut best: std::collections::BTreeMap<(VertexId, VertexId), f64> =
-            std::collections::BTreeMap::new();
-        for &(a, b, w) in &raw_edges {
-            let (a, b) = (a % n, b % n);
-            if a < b {
-                // Two claims per pair occurrence, the replay slightly
-                // worse — folding must keep the better of all claims.
-                g.insert_edge(vs[a], vs[b], w).unwrap();
-                g.insert_edge(vs[a], vs[b], (w + 0.05).min(1.0)).unwrap();
-                let e = best.entry((vs[a], vs[b])).or_insert(f64::INFINITY);
-                *e = e.min(w);
-            }
-        }
-        compact_fully(&g);
-        let flat = g.to_flat();
-        prop_assert_eq!(flat.edge_count(), best.len());
-        for (&(from, to), &w) in &best {
-            let kept: Vec<f64> = flat
-                .out_edges(from)
-                .iter()
-                .filter(|e| e.to == to)
-                .map(|e| e.weight)
-                .collect();
-            prop_assert_eq!(&kept, &vec![w], "pair {} -> {}", from, to);
         }
     }
 }

@@ -10,11 +10,13 @@ use coral_net::{EventId, VertexId};
 use coral_storage::EdgeStorageNode;
 use coral_storage::{
     QueryOptions, ShardedTrajectoryGraph, SnapshotError, StorageConfig, TrajectoryGraph,
+    VertexAllocator,
 };
 use coral_topology::CameraId;
 use coral_vision::{ColorHistogram, GroundTruthId, TrackId};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// A unique, self-cleaning snapshot directory.
 struct TempDir(PathBuf);
@@ -70,6 +72,33 @@ fn rewrite_with_valid_trailer(path: &Path, edit: impl FnOnce(&str) -> String) {
     std::fs::write(path, format!("{edited}crc {crc:016x}\n")).unwrap();
 }
 
+/// Re-seals the manifest after shard files were edited: every shard
+/// entry gets its file's current checksum and record counts, and the
+/// manifest a fresh trailer, so only the edited content is wrong.
+fn reseal_manifest(dir: &Path) {
+    rewrite_with_valid_trailer(&dir.join("MANIFEST"), |body| {
+        body.lines()
+            .map(
+                |line| match line.split_whitespace().collect::<Vec<_>>()[..] {
+                    ["shard", i, file, _, _, _] => {
+                        let shard = std::fs::read_to_string(dir.join(file)).unwrap();
+                        let count =
+                            |tag: &str| shard.lines().filter(|l| l.starts_with(tag)).count();
+                        format!(
+                            "shard {i} {file} {:016x} {} {}",
+                            fnv64(shard.as_bytes()),
+                            count("v "),
+                            count("e ")
+                        )
+                    }
+                    _ => line.to_string(),
+                },
+            )
+            .collect::<Vec<_>>()
+            .join("\n")
+    });
+}
+
 fn eid(cam: u32, track: u64) -> EventId {
     EventId {
         camera: CameraId(cam),
@@ -89,7 +118,6 @@ fn cfg(shard_count: usize) -> StorageConfig {
         shard_count,
         time_bucket_ms: 2_000,
         cameras_per_region: 2,
-        ..StorageConfig::default()
     }
 }
 
@@ -148,7 +176,7 @@ fn roundtrip_preserves_structure_and_ingest_continues() {
     let dir = TempDir::new("roundtrip");
     let (g, vs) = populated(3);
     g.snapshot_to(dir.path()).unwrap();
-    let restored = ShardedTrajectoryGraph::restore_from(dir.path(), cfg(3)).unwrap();
+    let restored = ShardedTrajectoryGraph::restore_from(dir.path()).unwrap();
     assert_eq!(restored.shard_count(), 3);
     assert_flat_eq(&restored.to_flat(), &g.to_flat());
 
@@ -172,9 +200,9 @@ fn restore_adopts_the_snapshot_shard_layout() {
     let dir = TempDir::new("adopt-layout");
     let (g, _) = populated(5);
     g.snapshot_to(dir.path()).unwrap();
-    // restore_from takes the layout from the snapshot, not the config.
-    let restored = ShardedTrajectoryGraph::restore_from(dir.path(), cfg(1)).unwrap();
-    assert_eq!(restored.shard_count(), 5);
+    // restore_from takes the whole configuration from the snapshot.
+    let restored = ShardedTrajectoryGraph::restore_from(dir.path()).unwrap();
+    assert_eq!(restored.config(), &cfg(5));
     assert_flat_eq(&restored.to_flat(), &g.to_flat());
 }
 
@@ -224,7 +252,7 @@ fn snapshot_during_concurrent_ingest_restores_consistently() {
     for round in 0..6 {
         let dir = TempDir::new(&format!("live-{round}"));
         node.snapshot_to(dir.path()).unwrap();
-        let restored = ShardedTrajectoryGraph::restore_from(dir.path(), cfg(4)).unwrap();
+        let restored = ShardedTrajectoryGraph::restore_from(dir.path()).unwrap();
         let flat = restored.to_flat();
         for v in flat.vertices() {
             for e in flat.out_edges(v.id) {
@@ -252,7 +280,7 @@ fn flipped_byte_in_a_shard_file_is_a_checksum_mismatch() {
     let idx = bytes.len() / 2;
     bytes[idx] ^= 0x01;
     std::fs::write(&victim, &bytes).unwrap();
-    match ShardedTrajectoryGraph::restore_from(dir.path(), cfg(3)) {
+    match ShardedTrajectoryGraph::restore_from(dir.path()) {
         Err(SnapshotError::ChecksumMismatch {
             path,
             expected,
@@ -271,7 +299,7 @@ fn missing_shard_file_is_an_io_error() {
     let (g, _) = populated(2);
     g.snapshot_to(dir.path()).unwrap();
     std::fs::remove_file(dir.path().join("shard-0000.csnap")).unwrap();
-    match ShardedTrajectoryGraph::restore_from(dir.path(), cfg(2)) {
+    match ShardedTrajectoryGraph::restore_from(dir.path()) {
         Err(SnapshotError::Io { path, .. }) => {
             assert_eq!(path, dir.path().join("shard-0000.csnap"));
         }
@@ -289,7 +317,7 @@ fn unknown_manifest_version_is_a_version_mismatch() {
     rewrite_with_valid_trailer(&dir.path().join("MANIFEST"), |body| {
         body.replacen("coral-snapshot v1", "coral-snapshot v99", 1)
     });
-    match ShardedTrajectoryGraph::restore_from(dir.path(), cfg(2)) {
+    match ShardedTrajectoryGraph::restore_from(dir.path()) {
         Err(SnapshotError::VersionMismatch { found, .. }) => {
             assert_eq!(found, "coral-snapshot v99");
         }
@@ -303,7 +331,7 @@ fn truncated_manifest_is_corrupt() {
     let (g, _) = populated(2);
     g.snapshot_to(dir.path()).unwrap();
     std::fs::write(dir.path().join("MANIFEST"), "coral-snapshot v1\n").unwrap();
-    match ShardedTrajectoryGraph::restore_from(dir.path(), cfg(2)) {
+    match ShardedTrajectoryGraph::restore_from(dir.path()) {
         Err(SnapshotError::Corrupt { .. }) => {}
         other => panic!("expected Corrupt, got {other:?}"),
     }
@@ -342,4 +370,99 @@ fn failed_restore_leaves_the_store_untouched() {
     target.insert_edge(a, b, 0.3).unwrap();
     assert!(target.restore_in_place(dir.path()).is_err());
     assert_eq!((target.vertex_count(), target.edge_count()), (2, 1));
+}
+
+#[test]
+fn duplicated_edge_line_is_corrupt() {
+    let dir = TempDir::new("duplicate-edge");
+    let (g, _) = populated(3);
+    g.snapshot_to(dir.path()).unwrap();
+    // Repeat one edge line in whichever shard file holds one, then make
+    // every checksum and count agree with the edited file.
+    let victim = (0..3)
+        .map(|i| dir.path().join(format!("shard-{i:04}.csnap")))
+        .find(|p| std::fs::read_to_string(p).unwrap().contains("\ne "))
+        .expect("some shard holds an edge");
+    rewrite_with_valid_trailer(&victim, |body| {
+        let edge = body.lines().find(|l| l.starts_with("e ")).unwrap();
+        format!("{body}\n{edge}")
+    });
+    reseal_manifest(dir.path());
+    match ShardedTrajectoryGraph::restore_from(dir.path()) {
+        Err(SnapshotError::Corrupt { reason, .. }) => {
+            assert!(reason.contains("stored twice"), "{reason}");
+        }
+        other => panic!("expected Corrupt, got {other:?}"),
+    }
+}
+
+#[test]
+fn next_vertex_that_does_not_match_the_records_is_corrupt() {
+    // 40 vertices: the manifest says `next_vertex 40`. A counter past the
+    // records must not size any allocation, and one below them cannot
+    // cover their ids.
+    for bad in [u64::MAX, 41, 39] {
+        let dir = TempDir::new("next-vertex");
+        let (g, _) = populated(2);
+        g.snapshot_to(dir.path()).unwrap();
+        rewrite_with_valid_trailer(&dir.path().join("MANIFEST"), |body| {
+            body.replacen("next_vertex 40", &format!("next_vertex {bad}"), 1)
+        });
+        match ShardedTrajectoryGraph::restore_from(dir.path()) {
+            Err(SnapshotError::Corrupt { .. }) => {}
+            other => panic!("next_vertex {bad}: expected Corrupt, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn region_store_restores_a_far_id_without_sizing_by_it() {
+    // A region store sharing its allocator may legitimately hold ids far
+    // apart (the others live in other regions), so a restore must cost
+    // memory for the ids present, not for the id span: 2^40 as a dense
+    // directory would be 2 TiB.
+    let far = 1u64 << 40;
+    let dir = TempDir::new("far-id");
+    let shared =
+        || ShardedTrajectoryGraph::with_allocator(cfg(2), Arc::new(VertexAllocator::new()));
+    let g = shared();
+    let a = g.insert_event(eid(0, 1), 0, 100, None, None);
+    let b = g.insert_event(eid(1, 1), 200, 300, None, None);
+    g.insert_edge(a, b, 0.5).unwrap();
+    g.snapshot_to(dir.path()).unwrap();
+    // Move `b` to id 2^40, in its record, its edge and the manifest.
+    for i in 0..2 {
+        rewrite_with_valid_trailer(&dir.path().join(format!("shard-{i:04}.csnap")), |body| {
+            body.lines()
+                .map(|line| {
+                    let mut tok: Vec<String> = line.split(' ').map(str::to_string).collect();
+                    match tok[0].as_str() {
+                        "v" if tok[1] == "1" => tok[1] = far.to_string(),
+                        "e" if tok[2] == "1" => tok[2] = far.to_string(),
+                        _ => {}
+                    }
+                    tok.join(" ")
+                })
+                .collect::<Vec<_>>()
+                .join("\n")
+        });
+    }
+    reseal_manifest(dir.path());
+    rewrite_with_valid_trailer(&dir.path().join("MANIFEST"), |body| {
+        body.replacen("next_vertex 2", &format!("next_vertex {}", far + 1), 1)
+    });
+    let target = shared();
+    target.restore_in_place(dir.path()).unwrap();
+    assert_eq!((target.vertex_count(), target.edge_count()), (2, 1));
+    let walk = target.trajectory(a, QueryOptions::default()).unwrap();
+    assert_eq!(walk.best_track(), vec![a, VertexId(far)]);
+    // The shared counter ratchets past the far id.
+    assert_eq!(target.allocator().next_vertex_hint(), far + 1);
+    // A private store holds its ids densely and rejects the same file.
+    match ShardedTrajectoryGraph::restore_from(dir.path()) {
+        Err(SnapshotError::Corrupt { reason, .. }) => {
+            assert!(reason.contains("out of range"), "{reason}");
+        }
+        other => panic!("expected Corrupt, got {other:?}"),
+    }
 }

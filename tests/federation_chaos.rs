@@ -304,7 +304,7 @@ impl Fnv {
 #[derive(Debug, PartialEq, Eq)]
 struct Fingerprint {
     counters: [u64; 6],
-    storage: [u64; 8],
+    storage: [u64; 6],
     fold: u64,
 }
 
@@ -388,8 +388,6 @@ fn fingerprint(sys: &CoralPieSystem) -> Fingerprint {
             s.frame_bytes,
             s.shards as u64,
             s.cross_shard_edges as u64,
-            s.compaction_merged_edges,
-            s.compaction_folded_edges,
         ],
         fold: h.0,
     }
@@ -456,7 +454,7 @@ fn region_fingerprints_are_pinned() {
         fingerprint(&one),
         Fingerprint {
             counters: [94, 45, 33, 16, 104_486, 18_035],
-            storage: [33, 25, 0, 0, 1, 0, 0, 0],
+            storage: [33, 25, 0, 0, 1, 0],
             fold: 0xe9220cd7d11e1bb4,
         },
         "one-region lossy corridor with a camera kill/restore"
@@ -477,7 +475,7 @@ fn region_fingerprints_are_pinned() {
         fingerprint(&two),
         Fingerprint {
             counters: [180, 81, 49, 50, 192_484, 48_252],
-            storage: [55, 40, 0, 0, 1, 0, 0, 0],
+            storage: [55, 40, 0, 0, 1, 0],
             fold: 0xfb40a1de0ac5442d,
         },
         "two-region lossy hard smoke with a region outage"
